@@ -2,7 +2,12 @@
 
 Exit codes: 0 success, 1 domain error, 2 parse/usage error, 3 resource
 limit.  ``--json`` output is byte-stable for identical inputs and seeds.
-``GLK_THREADS`` caps the worker count used for state sums.
+``GLK_THREADS`` caps the worker count used for state sums; it must be a
+positive integer.  Numeric limits are checked before any work: a negative
+``--max-n``/``--max-depth``/``--max-vertices`` or a ``--budget``/
+``--max-states`` below 1 is a usage error (exit 2).  A state sum over more
+than ``gf2.STATE_SUM_LIMIT`` vertices is refused with exit 3 whatever
+``--max-n`` says.
 """
 
 from __future__ import annotations
@@ -23,11 +28,27 @@ EXIT_PARSE = 2
 EXIT_RESOURCE = 3
 
 
+#: Smallest accepted value of each numeric option (argparse dest names).
+_MINIMUM = {"max_n": 0, "max_depth": 0, "max_vertices": 0, "budget": 1, "max_states": 1}
+
+
 def _threads() -> int:
+    text = os.environ.get("GLK_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("GLK_THREADS", "1")))
+        value = int(text)
     except ValueError:
-        return 1
+        value = 0
+    if value < 1:
+        raise ParseError(f"GLK_THREADS must be a positive integer, got {text!r}")
+    return value
+
+
+def _check_limits(args: argparse.Namespace) -> None:
+    for dest, low in _MINIMUM.items():
+        value = getattr(args, dest, None)
+        if value is not None and value < low:
+            option = "--" + dest.replace("_", "-")
+            raise ParseError(f"{option} must be at least {low}, got {value}")
 
 
 def _read_input(args: argparse.Namespace) -> str:
@@ -110,6 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
+    _check_limits(args)
     threads = _threads()
 
     if args.command == "bracket":

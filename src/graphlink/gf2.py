@@ -17,10 +17,17 @@ import numpy as np
 
 from .errors import ResourceLimitError
 
-#: Hard cap on matrix dimension.  Rows are packed into machine-word-sized
-#: integers and every caller that sweeps states enumerates 2**n subsets, so
-#: nothing past word size is reachable in practice.
+#: Hard cap on matrix dimension.  Rows are arbitrary-precision Python ints,
+#: so the cap is a sanity bound on input size, not a machine-word limit.
 DIM_LIMIT = 64
+
+#: Hard cap on n for the all-subsets sweep.  The sweep keeps one uint8
+#: corank per state (256 MiB at n = 28) and its time doubles per vertex, and
+#: the cap keeps the vectorized masks exact in uint32.
+STATE_SUM_LIMIT = 28
+
+#: The sweep eliminates 2**BLOCK_BITS subsets per vectorized block.
+BLOCK_BITS = 18
 
 
 @dataclass(frozen=True)
@@ -80,16 +87,6 @@ class BitMatrix:
             for j in range(i + 1, self.n)
         )
 
-    def transpose(self) -> "BitMatrix":
-        rows = [0] * self.n
-        for i in range(self.n):
-            r = self.rows[i]
-            while r:
-                j = (r & -r).bit_length() - 1
-                rows[j] |= 1 << i
-                r &= r - 1
-        return BitMatrix(self.n, tuple(rows))
-
 
 def rank_of_rows(rows: Iterable[int]) -> int:
     """GF(2) row rank of bit-packed rows."""
@@ -115,11 +112,6 @@ def rank(m: BitMatrix) -> int:
 def corank(m: BitMatrix) -> int:
     """n - rank(m).  The empty 0x0 matrix has corank 0."""
     return m.n - rank(m)
-
-
-def det(m: BitMatrix) -> int:
-    """Determinant over GF(2): 1 iff the matrix has full rank."""
-    return 1 if rank(m) == m.n else 0
 
 
 def principal_submatrix(m: BitMatrix, subset: Iterable[int]) -> BitMatrix:
@@ -151,35 +143,30 @@ def flip_diagonal(m: BitMatrix, i: int) -> BitMatrix:
     return BitMatrix(m.n, tuple(rows))
 
 
-def subset_coranks(
-    rows: Sequence[int],
-    n: int,
-    threads: int = 1,
-    block_bits: int = 18,
-) -> np.ndarray:
+def subset_coranks(rows: Sequence[int], n: int, threads: int = 1) -> np.ndarray:
     """Coranks of all 2**n principal submatrices of a bit-packed matrix.
 
     Entry ``mask`` of the returned uint8 array is the corank of the
     submatrix induced by the bit set of ``mask``.  Every subset is
     eliminated from scratch (no incremental reuse across neighbouring
-    subsets); subsets are merely processed in vectorized blocks, and blocks
-    may run on a small thread pool.  The result is independent of
-    ``threads`` and ``block_bits``.
+    subsets); subsets are merely processed in vectorized blocks of
+    2**BLOCK_BITS, and blocks may run on a small thread pool.  The result
+    is independent of ``threads``.
 
-    A Gray-code walk maintaining one elimination incrementally would shave
-    a factor of n here; deferred until a profile demands it.
+    Raises ResourceLimitError for n > STATE_SUM_LIMIT before allocating.
     """
-    if n > DIM_LIMIT:
-        raise ResourceLimitError(f"dimension {n} exceeds DIM_LIMIT={DIM_LIMIT}")
+    if n > STATE_SUM_LIMIT:
+        raise ResourceLimitError(
+            f"state sum over 2^{n} states exceeds STATE_SUM_LIMIT={STATE_SUM_LIMIT}"
+        )
     total = 1 << n
-    dtype = np.uint32 if n <= 32 else np.uint64
-    row_vals = np.asarray(list(rows), dtype=dtype)
+    row_vals = np.asarray(list(rows), dtype=np.uint32)
     out = np.empty(total, dtype=np.uint8)
 
     def run_block(start: int, stop: int) -> None:
-        masks = np.arange(start, stop, dtype=dtype)
+        masks = np.arange(start, stop, dtype=np.uint32)
         size = stop - start
-        basis = np.zeros((n, size), dtype=dtype)
+        basis = np.zeros((n, size), dtype=np.uint32)
         rk = np.zeros(size, dtype=np.uint8)
         for i in range(n):
             r = np.where((masks >> i) & 1, row_vals[i] & masks, 0)
@@ -197,7 +184,7 @@ def subset_coranks(
                     r[new] = 0
         out[start:stop] = np.bitwise_count(masks).astype(np.uint8) - rk
 
-    block = 1 << min(block_bits, n)
+    block = 1 << min(BLOCK_BITS, n)
     spans = [(s, min(s + block, total)) for s in range(0, total, block)]
     if threads > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -162,14 +162,10 @@ def circle_count(g: LabeledGraph, s: State) -> int:
 
 
 def alpha(g: LabeledGraph, s: State) -> int:
-    """Count of '-' vertices inside s plus '+' vertices outside s."""
+    """Count of '-' vertices inside s plus '+' vertices outside s, i.e. the
+    number of vertices in which s differs from the B-state."""
     check_state(g, s)
-    total = 0
-    for v, sign in enumerate(g.labels):
-        inside = (s.mask >> v) & 1
-        if (sign == -1 and inside) or (sign == 1 and not inside):
-            total += 1
-    return total
+    return (s.mask ^ b_state(g).mask).bit_count()
 
 
 def a_state(g: LabeledGraph) -> State:
@@ -266,17 +262,25 @@ def from_json(text: str) -> LabeledGraph:
         edges = obj["edges"]
     except KeyError as exc:
         raise ParseError(f"JSON graph missing field {exc.args[0]!r}")
-    if not isinstance(n, int) or n < 0:
+    # type() rather than isinstance(): JSON true/false decode to bool, an int
+    # subclass equal to 1/0, and must not pass as a count, label or vertex.
+    if type(n) is not int or n < 0:
         raise ParseError("field 'n' must be a non-negative integer")
-    if len(labels) != n or any(s not in (1, -1) for s in labels):
+    if not isinstance(labels, list):
+        raise ParseError("field 'labels' must be an array")
+    if len(labels) != n or any(type(s) is not int or s not in (1, -1) for s in labels):
         raise ParseError("field 'labels' must be n entries of +1/-1")
+    if not isinstance(edges, list):
+        raise ParseError("field 'edges' must be an array")
     seen = set()
     pairs = []
     for off, e in enumerate(edges):
         if not (isinstance(e, list) and len(e) == 2):
             raise ParseError(f"edge {off + 1}: must be a 2-element array")
         i, j = e
-        if not (isinstance(i, int) and isinstance(j, int) and 1 <= i <= n and 1 <= j <= n):
+        if type(i) is not int or type(j) is not int:
+            raise ParseError(f"edge {off + 1}: vertices must be integers")
+        if not (1 <= i <= n and 1 <= j <= n):
             raise ParseError(f"edge {off + 1}: vertex out of range")
         if i == j:
             raise ParseError(f"edge {off + 1}: loop not allowed")

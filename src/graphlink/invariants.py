@@ -11,14 +11,14 @@ worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import gf2
 from .errors import DomainError, ResourceLimitError
-from .graph import LabeledGraph, a_state, adjacency_matrix, b_state
+from .graph import LabeledGraph, State, a_state, adjacency_matrix, b_state, circle_count
 from .laurent import LaurentPoly, loop_factor_pow, span, unit_normalize
 
 #: Default cap on the state-sum size (2**n states).
@@ -33,26 +33,32 @@ def _loop_pow(k: int) -> LaurentPoly:
 def kauffman_bracket(
     g: LabeledGraph, max_n: int = DEFAULT_MAX_N, threads: int = 1
 ) -> LaurentPoly:
-    """Exact Kauffman bracket of a labeled graph."""
+    """Exact Kauffman bracket of a labeled graph.
+
+    States are tallied by (alpha, corank), with alpha(s) = popcount(s XOR
+    B-state), one block of 2**gf2.BLOCK_BITS masks at a time, so the only
+    array over all 2**n states is the uint8 corank vector.  Above
+    gf2.STATE_SUM_LIMIT the sweep is refused before it allocates, whatever
+    ``max_n`` says.
+    """
     n = g.n
     if n > max_n:
         raise ResourceLimitError(
             f"bracket of {n} vertices needs 2^{n} states (limit max_n={max_n})"
         )
     coranks = gf2.subset_coranks(g.adj, n, threads=threads)
-    dtype = np.uint32 if n <= 32 else np.uint64
-    masks = np.arange(1 << n, dtype=dtype)
-    neg = sum(1 << v for v, s in enumerate(g.labels) if s == -1)
-    pos = sum(1 << v for v, s in enumerate(g.labels) if s == 1)
-    n_pos = pos.bit_count()
-    alphas = np.bitwise_count(masks & dtype(neg)).astype(np.int64) + (
-        n_pos - np.bitwise_count(masks & dtype(pos)).astype(np.int64)
-    )
-    keys = alphas * (n + 1) + coranks
-    counts = np.bincount(keys, minlength=(n + 1) * (n + 1))
+    b = np.uint32(b_state(g).mask)
+    width = n + 1
+    counts = np.zeros(width * width, dtype=np.int64)
+    step = 1 << gf2.BLOCK_BITS
+    for start in range(0, 1 << n, step):
+        masks = np.arange(start, min(start + step, 1 << n), dtype=np.uint32)
+        alphas = np.bitwise_count(masks ^ b).astype(np.intp)
+        keys = alphas * width + coranks[start : start + step]
+        counts += np.bincount(keys, minlength=width * width)
     total = LaurentPoly()
     for key in np.flatnonzero(counts):
-        al, c = divmod(int(key), n + 1)
+        al, c = divmod(int(key), width)
         weight = int(counts[key])
         total = total + _loop_pow(c).scale(weight, 2 * al - n)
     return total
@@ -105,31 +111,13 @@ class PropertyReport:
     minimal_certified: bool
 
     def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "l": self.l,
-            "genus": self.genus,
-            "alternating": self.alternating,
-            "adequate": self.adequate,
-            "non_split": self.non_split,
-            "graph_knot": self.graph_knot,
-            "span": self.span,
-            "vertex_lower_bound": self.vertex_lower_bound,
-            "minimal_certified": self.minimal_certified,
-        }
+        return asdict(self)
 
 
-def _circles(g: LabeledGraph, mask: int) -> int:
-    members = [v for v in range(g.n) if (mask >> v) & 1]
-    sub = gf2.principal_submatrix(adjacency_matrix(g), members)
-    return gf2.corank(sub) + 1
-
-
-def _locally_minimal(g: LabeledGraph, mask: int, circles: int) -> bool:
+def _locally_minimal(g: LabeledGraph, s: State, circles: int) -> bool:
     # adequate at one state: no single-vertex flip gains a circle
     for v in range(g.n):
-        if _circles(g, mask ^ (1 << v)) == circles + 1:
+        if circle_count(g, State(s.mask ^ (1 << v))) == circles + 1:
             return False
     return True
 
@@ -141,11 +129,11 @@ def analyze(
     n = g.n
     sa = a_state(g)
     sb = b_state(g)
-    k = _circles(g, sa.mask)
-    l = _circles(g, sb.mask)
+    k = circle_count(g, sa)
+    l = circle_count(g, sb)
     genus = 1 - (k + l - n) // 2
     alternating = k + l == n + 2
-    adequate = _locally_minimal(g, sa.mask, k) and _locally_minimal(g, sb.mask, l)
+    adequate = _locally_minimal(g, sa, k) and _locally_minimal(g, sb, l)
     non_split = all(g.adj[v] != 0 for v in range(n))
     knot = is_graph_knot(g)
     if n <= max_n:

@@ -138,14 +138,6 @@ def mono(coef: int, exp: int) -> LaurentPoly:
     return LaurentPoly(((exp, coef),))
 
 
-def add(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return p + q
-
-
-def mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return p * q
-
-
 def loop_factor() -> LaurentPoly:
     """The extra-circle factor -a^2 - a^-2."""
     return LaurentPoly(((2, -1), (-2, -1)))

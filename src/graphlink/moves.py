@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import MoveError, ParseError
 from .graph import LabeledGraph
@@ -38,18 +38,12 @@ class MoveKind(str, Enum):
     R5_CONTRACT = "R5_contract"
 
 
+# The members as plain module names: looking one up on the enum class costs
+# ~0.2 us, and _precondition() dispatches on the kind of every candidate site.
+R1_ADD, R1_REMOVE, R2_ADD, R2_REMOVE, R3_FWD, R3_INV, R4, R5_EXPAND, R5_CONTRACT = MoveKind
+
 #: The four defining moves in both directions; R5 is derived and excluded.
-BASIC_KINDS = frozenset(
-    {
-        MoveKind.R1_ADD,
-        MoveKind.R1_REMOVE,
-        MoveKind.R2_ADD,
-        MoveKind.R2_REMOVE,
-        MoveKind.R3_FWD,
-        MoveKind.R3_INV,
-        MoveKind.R4,
-    }
-)
+BASIC_KINDS = frozenset({R1_ADD, R1_REMOVE, R2_ADD, R2_REMOVE, R3_FWD, R3_INV, R4})
 
 ALL_KINDS = frozenset(MoveKind)
 
@@ -66,16 +60,89 @@ class MoveSite:
     neighborhood: frozenset[int] = field(default_factory=frozenset)
 
 
-def _require(cond: bool, site: MoveSite, reason: str) -> None:
-    if not cond:
-        raise MoveError(f"{site.kind.value}: {reason}")
+def _precondition(
+    g: LabeledGraph,
+    kind: MoveKind,
+    vertices: tuple[int, ...],
+    label: int = 0,
+    neighborhood: frozenset[int] = frozenset(),
+) -> str | None:
+    """The first reason the move cannot be applied to ``g``, or None if it
+    can.  Both apply() and enumerate_sites() decide applicability here."""
+    if len(set(vertices)) != len(vertices):
+        return "vertices must be distinct"
+    for v in vertices:
+        if not 0 <= v < g.n:
+            return f"vertex {v + 1} out of range"
+    labels, adj = g.labels, g.adj
 
+    if kind == R1_ADD:
+        if label not in (1, -1):
+            return "label must be +1 or -1"
 
-def _check_vertices(g: LabeledGraph, site: MoveSite) -> None:
-    vs = site.vertices
-    _require(len(set(vs)) == len(vs), site, "vertices must be distinct")
-    for v in vs:
-        _require(0 <= v < g.n, site, f"vertex {v + 1} out of range")
+    elif kind == R1_REMOVE:
+        (v,) = vertices
+        if adj[v]:
+            return f"vertex {v + 1} is not isolated"
+
+    elif kind == R2_ADD:
+        for t in neighborhood:
+            if not 0 <= t < g.n:
+                return f"neighbourhood vertex {t + 1} out of range"
+
+    elif kind == R2_REMOVE:
+        u, v = vertices
+        if labels[u] == labels[v]:
+            return "labels must differ"
+        if (adj[u] >> v) & 1:
+            return "vertices must be non-adjacent"
+        if adj[u] != adj[v]:
+            return "vertices must have the same adjacency with all others"
+
+    elif kind == R3_FWD:
+        u, v, w = vertices
+        if not labels[u] == labels[v] == labels[w] == -1:
+            return "u, v, w must all be labeled '-'"
+        if adj[u] != (1 << v) | (1 << w):
+            return "u must be adjacent exactly to v and w"
+        if (adj[v] >> w) & 1:
+            return "v and w must be non-adjacent"
+
+    elif kind == R3_INV:
+        u, v, w = vertices
+        if labels[u] != -1:
+            return "u must be labeled '-'"
+        if not labels[v] == labels[w] == 1:
+            return "v and w must be labeled '+'"
+        if (adj[u] >> v) & 1:
+            return "u and v must be non-adjacent"
+        if (adj[u] >> w) & 1:
+            return "u and w must be non-adjacent"
+        if (adj[v] >> w) & 1:
+            return "v and w must be non-adjacent"
+        if adj[u] != (adj[v] ^ adj[w]) & ~((1 << u) | (1 << v) | (1 << w)):
+            return "u's neighbourhood must be the symmetric difference of v's and w's"
+
+    elif kind == R4:
+        u, v = vertices
+        if not (adj[u] >> v) & 1:
+            return "u and v must be adjacent"
+
+    elif kind == R5_EXPAND:
+        (u,) = vertices
+        if labels[u] != -1:
+            return "u must be labeled '-'"
+
+    elif kind == R5_CONTRACT:
+        u, p, q = vertices
+        if labels[u] != 1:
+            return "u must be labeled '+'"
+        if not (labels[p] == 1 and labels[q] == 1):
+            return "the pendant pair must be labeled '+'"
+        if not (adj[p] == 1 << u and adj[q] == 1 << u):
+            return "p and q must be adjacent exactly to u"
+
+    return None
 
 
 def _delete_vertices(g: LabeledGraph, dead: Iterable[int]) -> LabeledGraph:
@@ -90,103 +157,50 @@ def _delete_vertices(g: LabeledGraph, dead: Iterable[int]) -> LabeledGraph:
     return LabeledGraph(len(labels), tuple(labels), tuple(rows))
 
 
+def _rewire_r3(
+    g: LabeledGraph, u: int, v: int, w: int, new_nu: int, vw_label: int
+) -> LabeledGraph:
+    """The third move in either direction: u's neighbourhood becomes
+    ``new_nu`` and v, w take ``vw_label``."""
+    bit = 1 << u
+    rows = [r | bit if (new_nu >> t) & 1 else r & ~bit for t, r in enumerate(g.adj)]
+    rows[u] = new_nu
+    labels = list(g.labels)
+    labels[v] = labels[w] = vw_label
+    return LabeledGraph(g.n, tuple(labels), tuple(rows))
+
+
 def apply(g: LabeledGraph, site: MoveSite) -> LabeledGraph:
     """Apply one move site, checking its precondition first."""
-    _check_vertices(g, site)
     kind = site.kind
+    reason = _precondition(g, kind, site.vertices, site.label, site.neighborhood)
+    if reason is not None:
+        raise MoveError(f"{kind.value}: {reason}")
 
-    if kind == MoveKind.R1_ADD:
-        _require(site.label in (1, -1), site, "label must be +1 or -1")
-        return LabeledGraph(
-            g.n + 1, g.labels + (site.label,), g.adj + (0,)
-        )
+    if kind == R1_ADD:
+        return LabeledGraph(g.n + 1, g.labels + (site.label,), g.adj + (0,))
 
-    if kind == MoveKind.R1_REMOVE:
-        (v,) = site.vertices
-        _require(g.adj[v] == 0, site, f"vertex {v + 1} is not isolated")
-        return _delete_vertices(g, [v])
+    if kind in (R1_REMOVE, R2_REMOVE):
+        return _delete_vertices(g, site.vertices)
 
-    if kind == MoveKind.R2_ADD:
-        nb = 0
-        for t in site.neighborhood:
-            _require(0 <= t < g.n, site, f"neighbourhood vertex {t + 1} out of range")
-            nb |= 1 << t
+    if kind == R2_ADD:
+        nb = sum(1 << t for t in site.neighborhood)
         labels = g.labels + (1, -1)
         rows = [r | (((nb >> i) & 1) * (0b11 << g.n)) for i, r in enumerate(g.adj)]
         rows += [nb, nb]
         return LabeledGraph(g.n + 2, labels, tuple(rows))
 
-    if kind == MoveKind.R2_REMOVE:
-        u, v = site.vertices
-        _require(g.labels[u] != g.labels[v], site, "labels must differ")
-        _require(not g.has_edge(u, v), site, "vertices must be non-adjacent")
-        _require(
-            g.adj[u] == g.adj[v],
-            site,
-            "vertices must have the same adjacency with all others",
-        )
-        return _delete_vertices(g, [u, v])
-
-    if kind == MoveKind.R3_FWD:
+    if kind == R3_FWD:
         u, v, w = site.vertices
-        _require(
-            g.labels[u] == g.labels[v] == g.labels[w] == -1,
-            site,
-            "u, v, w must all be labeled '-'",
-        )
-        _require(
-            g.adj[u] == (1 << v) | (1 << w),
-            site,
-            "u must be adjacent exactly to v and w",
-        )
-        _require(not g.has_edge(v, w), site, "v and w must be non-adjacent")
         keep = ~((1 << u) | (1 << v) | (1 << w))
-        new_nu = (g.adj[v] ^ g.adj[w]) & keep
-        rows = list(g.adj)
-        rows[u] = new_nu
-        for t in range(g.n):
-            if t == u:
-                continue
-            if (new_nu >> t) & 1:
-                rows[t] |= 1 << u
-            else:
-                rows[t] &= ~(1 << u)
-        labels = list(g.labels)
-        labels[v] = labels[w] = 1
-        return LabeledGraph(g.n, tuple(labels), tuple(rows))
+        return _rewire_r3(g, u, v, w, (g.adj[v] ^ g.adj[w]) & keep, 1)
 
-    if kind == MoveKind.R3_INV:
+    if kind == R3_INV:
         u, v, w = site.vertices
-        _require(g.labels[u] == -1, site, "u must be labeled '-'")
-        _require(
-            g.labels[v] == g.labels[w] == 1, site, "v and w must be labeled '+'"
-        )
-        _require(not g.has_edge(u, v), site, "u and v must be non-adjacent")
-        _require(not g.has_edge(u, w), site, "u and w must be non-adjacent")
-        _require(not g.has_edge(v, w), site, "v and w must be non-adjacent")
-        keep = ~((1 << u) | (1 << v) | (1 << w))
-        _require(
-            g.adj[u] == (g.adj[v] ^ g.adj[w]) & keep,
-            site,
-            "u's neighbourhood must be the symmetric difference of v's and w's",
-        )
-        new_nu = (1 << v) | (1 << w)
-        rows = list(g.adj)
-        rows[u] = new_nu
-        for t in range(g.n):
-            if t == u:
-                continue
-            if (new_nu >> t) & 1:
-                rows[t] |= 1 << u
-            else:
-                rows[t] &= ~(1 << u)
-        labels = list(g.labels)
-        labels[v] = labels[w] = -1
-        return LabeledGraph(g.n, tuple(labels), tuple(rows))
+        return _rewire_r3(g, u, v, w, (1 << v) | (1 << w), -1)
 
-    if kind == MoveKind.R4:
+    if kind == R4:
         u, v = site.vertices
-        _require(g.has_edge(u, v), site, "u and v must be adjacent")
         uv = (1 << u) | (1 << v)
         p1 = g.adj[u] & ~g.adj[v] & ~uv
         p2 = g.adj[v] & ~g.adj[u] & ~uv
@@ -204,138 +218,84 @@ def apply(g: LabeledGraph, site: MoveSite) -> LabeledGraph:
         labels[u], labels[v] = -g.labels[v], -g.labels[u]
         return LabeledGraph(g.n, tuple(labels), tuple(rows))
 
-    if kind == MoveKind.R5_EXPAND:
+    if kind == R5_EXPAND:
         (u,) = site.vertices
-        _require(g.labels[u] == -1, site, "u must be labeled '-'")
         # R2_add of a pair seeing only u, then R4 along the edge to the
         # '-' partner; net effect: u turns '+' and gains two pendant '+'
         # vertices which are not adjacent to each other.
-        g2 = apply(g, MoveSite(MoveKind.R2_ADD, neighborhood=frozenset({u})))
-        return apply(g2, MoveSite(MoveKind.R4, (u, g.n + 1)))
+        g2 = apply(g, MoveSite(R2_ADD, neighborhood=frozenset({u})))
+        return apply(g2, MoveSite(R4, (u, g.n + 1)))
 
-    if kind == MoveKind.R5_CONTRACT:
+    if kind == R5_CONTRACT:
         u, p, q = site.vertices
-        _require(g.labels[u] == 1, site, "u must be labeled '+'")
-        _require(
-            g.labels[p] == 1 and g.labels[q] == 1,
-            site,
-            "the pendant pair must be labeled '+'",
-        )
-        _require(
-            g.adj[p] == 1 << u and g.adj[q] == 1 << u,
-            site,
-            "p and q must be adjacent exactly to u",
-        )
-        g2 = apply(g, MoveSite(MoveKind.R4, (u, q)))
-        return apply(g2, MoveSite(MoveKind.R2_REMOVE, (p, q)))
+        g2 = apply(g, MoveSite(R4, (u, q)))
+        return apply(g2, MoveSite(R2_REMOVE, (p, q)))
 
     raise MoveError(f"unknown move kind {kind!r}")
 
 
+def _candidates(g: LabeledGraph, kind: MoveKind) -> Iterable[tuple[int, ...]]:
+    """Vertex tuples worth checking for a vertex-indexed kind, in listing
+    order and pruned by label only; _precondition() decides."""
+    n, labels = g.n, g.labels
+    if kind == R1_REMOVE:
+        yield from ((v,) for v in range(n))
+    elif kind == R2_REMOVE:
+        for u in range(n):
+            for v in range(u + 1, n):
+                if labels[u] != labels[v]:
+                    yield (u, v)
+    elif kind == R3_FWD:
+        for u in range(n):
+            if labels[u] == -1 and g.degree(u) == 2:
+                yield (u,) + g.neighbors(u)
+    elif kind == R3_INV:
+        plus = [v for v in range(n) if labels[v] == 1]
+        for u in range(n):
+            if labels[u] == -1:
+                for i, v in enumerate(plus):
+                    for w in plus[i + 1 :]:
+                        yield (u, v, w)
+    elif kind == R4:
+        yield from g.edges
+    elif kind == R5_EXPAND:
+        yield from ((u,) for u in range(n) if labels[u] == -1)
+    elif kind == R5_CONTRACT:
+        plus = [v for v in range(n) if labels[v] == 1]
+        for u in plus:
+            pendants = [p for p in plus if g.adj[p] == 1 << u]
+            for i, p in enumerate(pendants):
+                for q in pendants[i + 1 :]:
+                    yield (u, p, q)
+
+
 def enumerate_sites(
-    g: LabeledGraph,
-    kinds: Iterable[MoveKind] | None = None,
-    r2_neighborhoods: Sequence[Iterable[int]] | None = None,
+    g: LabeledGraph, kinds: Iterable[MoveKind] | None = None
 ) -> list[MoveSite]:
-    """All applicable sites of the requested kinds, duplicate-free.
+    """All applicable sites of the requested kinds, duplicate-free, in
+    MoveKind order.
 
     R1_add always yields its two label variants.  R2_add is an unbounded
-    family, so unless ``r2_neighborhoods`` supplies explicit sets it is
-    enumerated over the neighbourhoods already present in the graph plus
-    the empty set.
+    family, so it is enumerated over the neighbourhoods already present in
+    the graph plus the empty set.
     """
     wanted = ALL_KINDS if kinds is None else frozenset(MoveKind(k) for k in kinds)
     sites: list[MoveSite] = []
-
-    if MoveKind.R1_ADD in wanted:
-        sites.append(MoveSite(MoveKind.R1_ADD, label=1))
-        sites.append(MoveSite(MoveKind.R1_ADD, label=-1))
-
-    if MoveKind.R1_REMOVE in wanted:
-        for v in range(g.n):
-            if g.adj[v] == 0:
-                sites.append(MoveSite(MoveKind.R1_REMOVE, (v,)))
-
-    if MoveKind.R2_ADD in wanted:
-        if r2_neighborhoods is None:
-            pool = {0} | {g.adj[v] for v in range(g.n)}
+    for kind in MoveKind:
+        if kind not in wanted:
+            continue
+        if kind == R1_ADD:
+            sites += [MoveSite(kind, label=1), MoveSite(kind, label=-1)]
+        elif kind == R2_ADD:
+            for mask in sorted({0, *g.adj}):
+                hood = frozenset(t for t in range(g.n) if (mask >> t) & 1)
+                sites.append(MoveSite(kind, neighborhood=hood))
         else:
-            pool = set()
-            for nb in r2_neighborhoods:
-                mask = 0
-                for t in nb:
-                    mask |= 1 << t
-                pool.add(mask)
-        for mask in sorted(pool):
-            members = frozenset(
-                t for t in range(g.n) if (mask >> t) & 1
-            )
-            sites.append(MoveSite(MoveKind.R2_ADD, neighborhood=members))
-
-    if MoveKind.R2_REMOVE in wanted:
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                if (
-                    g.labels[u] != g.labels[v]
-                    and not g.has_edge(u, v)
-                    and g.adj[u] == g.adj[v]
-                ):
-                    sites.append(MoveSite(MoveKind.R2_REMOVE, (u, v)))
-
-    if MoveKind.R3_FWD in wanted:
-        for u in range(g.n):
-            if g.labels[u] != -1 or g.degree(u) != 2:
-                continue
-            v, w = g.neighbors(u)
-            if (
-                g.labels[v] == g.labels[w] == -1
-                and not g.has_edge(v, w)
-            ):
-                sites.append(MoveSite(MoveKind.R3_FWD, (u, v, w)))
-
-    if MoveKind.R3_INV in wanted:
-        for u in range(g.n):
-            if g.labels[u] != -1:
-                continue
-            for v in range(g.n):
-                if v == u or g.labels[v] != 1 or g.has_edge(u, v):
-                    continue
-                for w in range(v + 1, g.n):
-                    if (
-                        w == u
-                        or g.labels[w] != 1
-                        or g.has_edge(u, w)
-                        or g.has_edge(v, w)
-                    ):
-                        continue
-                    keep = ~((1 << u) | (1 << v) | (1 << w))
-                    if g.adj[u] == (g.adj[v] ^ g.adj[w]) & keep:
-                        sites.append(MoveSite(MoveKind.R3_INV, (u, v, w)))
-
-    if MoveKind.R4 in wanted:
-        for u, v in g.edges:
-            sites.append(MoveSite(MoveKind.R4, (u, v)))
-
-    if MoveKind.R5_EXPAND in wanted:
-        for u in range(g.n):
-            if g.labels[u] == -1:
-                sites.append(MoveSite(MoveKind.R5_EXPAND, (u,)))
-
-    if MoveKind.R5_CONTRACT in wanted:
-        for u in range(g.n):
-            if g.labels[u] != 1:
-                continue
-            pendants = [
-                p
-                for p in range(g.n)
-                if p != u and g.labels[p] == 1 and g.adj[p] == 1 << u
+            sites += [
+                MoveSite(kind, vs)
+                for vs in _candidates(g, kind)
+                if _precondition(g, kind, vs) is None
             ]
-            for a in range(len(pendants)):
-                for b in range(a + 1, len(pendants)):
-                    sites.append(
-                        MoveSite(MoveKind.R5_CONTRACT, (u, pendants[a], pendants[b]))
-                    )
-
     return sites
 
 
@@ -351,9 +311,9 @@ def apply_script(g: LabeledGraph, sites: Iterable[MoveSite]) -> LabeledGraph:
 
 def format_site(site: MoveSite) -> str:
     kind = site.kind
-    if kind == MoveKind.R1_ADD:
+    if kind == R1_ADD:
         return f"R1_add {'+' if site.label == 1 else '-'}"
-    if kind == MoveKind.R2_ADD:
+    if kind == R2_ADD:
         body = ",".join(str(t + 1) for t in sorted(site.neighborhood))
         return f"R2_add {body}" if body else "R2_add"
     args = " ".join(str(v + 1) for v in site.vertices)
@@ -373,11 +333,11 @@ def parse_script(text: str) -> list[MoveSite]:
         except ValueError:
             raise ParseError(f"line {lineno}: unknown move kind {name!r}")
         try:
-            if kind == MoveKind.R1_ADD:
+            if kind == R1_ADD:
                 if len(args) != 1 or args[0] not in ("+", "-"):
                     raise ValueError
                 sites.append(MoveSite(kind, label=1 if args[0] == "+" else -1))
-            elif kind == MoveKind.R2_ADD:
+            elif kind == R2_ADD:
                 if len(args) > 1:
                     raise ValueError
                 members = frozenset(
@@ -388,13 +348,13 @@ def parse_script(text: str) -> list[MoveSite]:
                 sites.append(MoveSite(kind, neighborhood=members))
             else:
                 arity = {
-                    MoveKind.R1_REMOVE: 1,
-                    MoveKind.R2_REMOVE: 2,
-                    MoveKind.R3_FWD: 3,
-                    MoveKind.R3_INV: 3,
-                    MoveKind.R4: 2,
-                    MoveKind.R5_EXPAND: 1,
-                    MoveKind.R5_CONTRACT: 3,
+                    R1_REMOVE: 1,
+                    R2_REMOVE: 2,
+                    R3_FWD: 3,
+                    R3_INV: 3,
+                    R4: 2,
+                    R5_EXPAND: 1,
+                    R5_CONTRACT: 3,
                 }[kind]
                 if len(args) != arity:
                     raise ValueError

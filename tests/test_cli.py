@@ -1,7 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
+import pytest
+
+import graphlink
 from graphlink.cli import main
 
 from helpers import G7_TEXT
@@ -209,10 +215,116 @@ def test_missing_file(capsys):
 
 
 def test_entry_point_subprocess():
+    # the child must import the same graphlink, installed or not
+    src = str(Path(graphlink.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "graphlink.cli", "bracket", "-i", "1;-;"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "-a^3\n"
+
+
+# `glk moves sites` output frozen before the move preconditions were merged
+# into one function: kind order, then vertex order within each kind.
+MOVES_SITES_GOLDEN = {
+    G7_TEXT: [
+        "R1_add +", "R1_add -", "R2_add", "R2_add 2,4", "R2_add 2,6", "R2_add 4,6",
+        "R2_add 2,4,6", "R2_add 1,3,7", "R2_add 1,5,7", "R2_add 3,5,7", "R4 1 2",
+        "R4 1 6", "R4 2 3", "R4 2 7", "R4 3 4", "R4 4 5", "R4 4 7", "R4 5 6", "R4 6 7",
+        "R5_expand 1", "R5_expand 3", "R5_expand 5", "R5_expand 7",
+    ],
+    "5;-+-++;2-5,3-5,4-5": [
+        "R1_add +", "R1_add -", "R1_remove 1", "R2_add", "R2_add 2,3,4", "R2_add 5",
+        "R2_remove 2 3", "R2_remove 3 4", "R3_inv 1 2 4", "R4 2 5", "R4 3 5", "R4 4 5",
+        "R5_expand 1", "R5_expand 3", "R5_contract 5 2 4",
+    ],
+    "5;---++;1-2,1-3,2-5,3-5": [
+        "R1_add +", "R1_add -", "R1_remove 4", "R2_add", "R2_add 2,3", "R2_add 1,5",
+        "R2_remove 1 5", "R3_fwd 1 2 3", "R3_inv 1 4 5", "R4 1 2", "R4 1 3", "R4 2 5",
+        "R4 3 5", "R5_expand 1", "R5_expand 2", "R5_expand 3",
+    ],
+    "6;--+-+-;1-2,1-3,1-5,2-6,3-6,4-6": [
+        "R1_add +", "R1_add -", "R2_add", "R2_add 1", "R2_add 2,3,4", "R2_add 2,3,5",
+        "R2_add 6", "R2_add 1,6", "R2_remove 2 3", "R3_fwd 2 1 6", "R3_inv 4 3 5",
+        "R4 1 2", "R4 1 3", "R4 1 5", "R4 2 6", "R4 3 6", "R4 4 6", "R5_expand 1",
+        "R5_expand 2", "R5_expand 4", "R5_expand 6",
+    ],
+}
+
+
+@pytest.mark.parametrize("text", sorted(MOVES_SITES_GOLDEN))
+def test_moves_sites_golden(capsys, text):
+    want = MOVES_SITES_GOLDEN[text]
+    code, out, _ = run_cli(capsys, "moves", "sites", "-i", text)
+    assert code == 0
+    assert out == "".join(line + "\n" for line in want)
+    code, out, _ = run_cli(capsys, "moves", "sites", "-i", text, "--json")
+    assert code == 0
+    assert out == json.dumps(want) + "\n"
+
+
+def assert_one_line_error(code, err, exit_code=2):
+    assert code == exit_code
+    assert err.count("\n") == 1 and err.startswith("glk: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"n": 1, "labels": 5, "edges": []},
+        {"n": 1, "labels": [1], "edges": 5},
+        {"n": 2, "labels": [True, 1], "edges": []},
+        {"n": True, "labels": [1], "edges": []},
+        {"n": 2, "labels": [1, 1], "edges": [[True, 2]]},
+    ],
+)
+def test_json_graph_type_errors_exit_2(capsys, obj):
+    code, out, err = run_cli(
+        capsys, "moves", "apply", "--json", "-i", json.dumps(obj), "--moves", "R1_add +"
+    )
+    assert_one_line_error(code, err)
+    assert out == ""
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "two", ""])
+def test_bad_glk_threads_exit_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("GLK_THREADS", value)
+    code, out, err = run_cli(capsys, "bracket", "-i", "1;+;")
+    assert_one_line_error(code, err)
+    assert "GLK_THREADS" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["realize", "-i", G7_TEXT, "--budget", "0"],
+        ["orbit", "-i", "1;+;", "--max-depth", "-1"],
+        ["orbit", "-i", "1;+;", "--max-vertices", "-1"],
+        ["orbit", "-i", "1;+;", "--max-states", "0"],
+        ["bracket", "-i", "1;+;", "--max-n", "-1"],
+        ["props", "-i", "1;+;", "--max-n", "-1"],
+    ],
+)
+def test_out_of_range_numeric_options_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert_one_line_error(code, err)
+    assert argv[-2] in err and out == ""
+
+
+@pytest.mark.parametrize("command", ["bracket", "props"])
+def test_state_sum_above_hard_limit_refused_before_allocating(capsys, command):
+    big = "29;" + "+" * 29 + ";"
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, command, "-i", big, "--max-n", "40")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_one_line_error(code, err, exit_code=3)
+    assert "STATE_SUM_LIMIT=28" in err and out == ""
+    assert peak < 1 << 20  # the corank vector alone would be 512 MiB

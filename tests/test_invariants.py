@@ -5,6 +5,7 @@ import pytest
 from graphlink import (
     LabeledGraph,
     analyze,
+    gf2,
     is_graph_knot,
     jones,
     kauffman_bracket,
@@ -37,10 +38,13 @@ def test_bracket_matches_reference_oracle():
         assert as_dict(kauffman_bracket(g)) == bracket_reference(g)
 
 
-def test_bracket_thread_count_is_unobservable():
+def test_bracket_thread_count_is_unobservable(monkeypatch):
     rng = random.Random(32)
     g = random_graph(rng, 9)
-    assert kauffman_bracket(g) == kauffman_bracket(g, threads=4)
+    base = kauffman_bracket(g)
+    assert base == kauffman_bracket(g, threads=4)
+    monkeypatch.setattr(gf2, "BLOCK_BITS", 4)  # 32 blocks in the sweep and the tally
+    assert base == kauffman_bracket(g, threads=4)
 
 
 def test_bracket_resource_limit():

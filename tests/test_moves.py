@@ -233,8 +233,6 @@ def test_enumerate_r2_add_policy():
     sites = enumerate_sites(g, {MoveKind.R2_ADD})
     hoods = {s.neighborhood for s in sites}
     assert hoods == {frozenset(), frozenset({0}), frozenset({1})}
-    forced = enumerate_sites(g, {MoveKind.R2_ADD}, r2_neighborhoods=[[0, 1]])
-    assert [s.neighborhood for s in forced] == [frozenset({0, 1})]
 
 
 def test_script_round_trip():
