@@ -19,7 +19,7 @@ from typing import Iterable
 from .errors import DomainError, ParseError, ResourceLimitError
 from .graph import LabeledGraph
 from .laurent import LaurentPoly, loop_factor_pow
-from . import orbit
+from . import gf2, orbit
 
 #: Default cap for the exhaustive realizability scan; (2n-1)!! matchings.
 REALIZE_MAX_N = 8
@@ -138,12 +138,17 @@ def surgery_circle_count(d: ChordDiagram, chords: Iterable[int]) -> int:
 
 
 def bracket_via_surgery(d: ChordDiagram, max_n: int = 24) -> LaurentPoly:
-    """State-sum bracket computed purely from surgery circle counts."""
+    """State-sum bracket computed purely from surgery circle counts.
+
+    Refused like the graph-side sum: n > ``max_n`` or n >
+    gf2.STATE_SUM_LIMIT raises ResourceLimitError before the loop.
+    """
     n = d.n
     if n > max_n:
         raise ResourceLimitError(
             f"diagram bracket of {n} chords needs 2^{n} states (limit max_n={max_n})"
         )
+    gf2.check_state_sum(n)
     total = LaurentPoly()
     for mask in range(1 << n):
         selected = [c for c in range(1, n + 1) if (mask >> (c - 1)) & 1]

@@ -143,6 +143,14 @@ def flip_diagonal(m: BitMatrix, i: int) -> BitMatrix:
     return BitMatrix(m.n, tuple(rows))
 
 
+def check_state_sum(n: int) -> None:
+    """Refuse a sum over 2**n states when n > STATE_SUM_LIMIT."""
+    if n > STATE_SUM_LIMIT:
+        raise ResourceLimitError(
+            f"state sum over 2^{n} states exceeds STATE_SUM_LIMIT={STATE_SUM_LIMIT}"
+        )
+
+
 def subset_coranks(rows: Sequence[int], n: int, threads: int = 1) -> np.ndarray:
     """Coranks of all 2**n principal submatrices of a bit-packed matrix.
 
@@ -155,10 +163,7 @@ def subset_coranks(rows: Sequence[int], n: int, threads: int = 1) -> np.ndarray:
 
     Raises ResourceLimitError for n > STATE_SUM_LIMIT before allocating.
     """
-    if n > STATE_SUM_LIMIT:
-        raise ResourceLimitError(
-            f"state sum over 2^{n} states exceeds STATE_SUM_LIMIT={STATE_SUM_LIMIT}"
-        )
+    check_state_sum(n)
     total = 1 << n
     row_vals = np.asarray(list(rows), dtype=np.uint32)
     out = np.empty(total, dtype=np.uint8)

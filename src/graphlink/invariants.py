@@ -3,10 +3,14 @@ the minimality/adequacy report.
 
 The bracket of a graph on n vertices is an exact sum over all 2**n states;
 the contribution of a state s is a^(2*alpha(s) - n) times the loop factor
-(-a^2 - a^-2) raised to the corank of the induced adjacency matrix.  States
-are enumerated in bitmask order and may be partitioned across threads; the
-merge is an exact commutative sum, so the result is bit-identical for any
-worker count.
+(-a^2 - a^-2) raised to the corank of the induced adjacency matrix.  The
+sum is taken per reduced component: R2 pairs are deleted first (the second
+move leaves the bracket unchanged), and the rest factors over connected
+components, because alpha and the corank both add up across a disjoint
+union.  Each component's states are enumerated in bitmask order and may be
+partitioned across threads; the merge is an exact commutative sum, so the
+result is bit-identical for any worker count.  Whether a sum is refused
+depends on the input's n, not on the reduced size.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ import numpy as np
 from . import gf2
 from .errors import DomainError, ResourceLimitError
 from .graph import LabeledGraph, State, a_state, adjacency_matrix, b_state, circle_count
-from .laurent import LaurentPoly, loop_factor_pow, span, unit_normalize
+from .laurent import LaurentPoly, loop_factor_pow, one, span, unit_normalize
+from .moves import R2_REMOVE, _delete_vertices, _precondition
 
 #: Default cap on the state-sum size (2**n states).
 DEFAULT_MAX_N = 24
@@ -30,22 +35,46 @@ def _loop_pow(k: int) -> LaurentPoly:
     return loop_factor_pow(k)
 
 
-def kauffman_bracket(
-    g: LabeledGraph, max_n: int = DEFAULT_MAX_N, threads: int = 1
-) -> LaurentPoly:
-    """Exact Kauffman bracket of a labeled graph.
+def _reduced_components(g: LabeledGraph) -> list[LabeledGraph]:
+    """The connected components of g once R2 pairs (a '+' and a '-' vertex
+    with equal rows) are deleted until none is left.  Deleting one pair can
+    make a new one, so deletion repeats until a round finds nothing."""
+    while True:
+        groups: dict[int, list[int]] = {}
+        pairs: list[int] = []
+        for v in range(g.n):
+            group = groups.setdefault(g.adj[v], [])
+            # a group keeps one label: a vertex of the other label pairs off
+            if group and _precondition(g, R2_REMOVE, (group[-1], v)) is None:
+                pairs += (group.pop(), v)
+            else:
+                group.append(v)
+        if not pairs:
+            break
+        g = _delete_vertices(g, pairs)
+    parts = []
+    unseen = (1 << g.n) - 1
+    while unseen:
+        comp = todo = unseen & -unseen
+        while todo:
+            v = todo.bit_length() - 1
+            todo ^= 1 << v
+            new = g.adj[v] & ~comp
+            comp |= new
+            todo |= new
+        unseen &= ~comp
+        parts.append(_delete_vertices(g, [v for v in range(g.n) if not (comp >> v) & 1]))
+    return parts
+
+
+def _state_sum(g: LabeledGraph, threads: int) -> LaurentPoly:
+    """The bracket of g as one sweep over all 2**g.n states.
 
     States are tallied by (alpha, corank), with alpha(s) = popcount(s XOR
     B-state), one block of 2**gf2.BLOCK_BITS masks at a time, so the only
-    array over all 2**n states is the uint8 corank vector.  Above
-    gf2.STATE_SUM_LIMIT the sweep is refused before it allocates, whatever
-    ``max_n`` says.
+    array over all 2**n states is the uint8 corank vector.
     """
     n = g.n
-    if n > max_n:
-        raise ResourceLimitError(
-            f"bracket of {n} vertices needs 2^{n} states (limit max_n={max_n})"
-        )
     coranks = gf2.subset_coranks(g.adj, n, threads=threads)
     b = np.uint32(b_state(g).mask)
     width = n + 1
@@ -61,6 +90,28 @@ def kauffman_bracket(
         al, c = divmod(int(key), width)
         weight = int(counts[key])
         total = total + _loop_pow(c).scale(weight, 2 * al - n)
+    return total
+
+
+def kauffman_bracket(
+    g: LabeledGraph, max_n: int = DEFAULT_MAX_N, threads: int = 1
+) -> LaurentPoly:
+    """Exact Kauffman bracket of a labeled graph.
+
+    The product of one state sum per reduced component (see
+    ``_reduced_components``); the empty graph gives 1.  A graph with more
+    than ``max_n`` or gf2.STATE_SUM_LIMIT vertices is refused before any
+    work, however far it would reduce.
+    """
+    n = g.n
+    if n > max_n:
+        raise ResourceLimitError(
+            f"bracket of {n} vertices needs 2^{n} states (limit max_n={max_n})"
+        )
+    gf2.check_state_sum(n)
+    total = one()
+    for part in _reduced_components(g):
+        total = total * _state_sum(part, threads)
     return total
 
 

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from . import moves
 from .errors import ResourceLimitError
 from .graph import LabeledGraph
-from .invariants import brackets_unit_equivalent, is_graph_knot, jones, kauffman_bracket
+from .invariants import brackets_unit_equivalent, is_graph_knot, kauffman_bracket, writhe
+from .laurent import unit_normalize
 
 #: Safety valve for pathological symmetry the twin pruning cannot collapse.
 LEAF_LIMIT = 200_000
@@ -246,7 +247,8 @@ def are_equivalent_bounded(
     when the bracket (up to unit), graph-knot status, or Jones polynomial
     separate the two, otherwise "unknown".
     """
-    if canonical_form(g1) == canonical_form(g2):
+    key2 = canonical_form(g2)
+    if canonical_form(g1) == key2:
         return EQUIVALENT
     k1, k2 = is_graph_knot(g1), is_graph_knot(g2)
     if k1 != k2:
@@ -256,12 +258,12 @@ def are_equivalent_bounded(
         b2 = kauffman_bracket(g2, max_n=max_n)
         if not brackets_unit_equivalent(b1, b2):
             return DISTINCT
-        if k1 and jones(g1, max_n=max_n) != jones(g2, max_n=max_n):
+        if k1 and unit_normalize(b1, writhe(g1)) != unit_normalize(b2, writhe(g2)):
             return DISTINCT
     if max_vertices is None:
         max_vertices = max(g1.n, g2.n) + 2
     r1 = bfs_orbit(g1, max_vertices, max_depth, max_states)
-    if canonical_form(g2) in r1.nodes:
+    if key2 in r1.nodes:
         return EQUIVALENT
     r2 = bfs_orbit(g2, max_vertices, max_depth, max_states)
     if r1.nodes.keys() & r2.nodes.keys():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -328,3 +329,12 @@ def test_state_sum_above_hard_limit_refused_before_allocating(capsys, command):
     assert_one_line_error(code, err, exit_code=3)
     assert "STATE_SUM_LIMIT=28" in err and out == ""
     assert peak < 1 << 20  # the corank vector alone would be 512 MiB
+
+
+def test_chord_bracket_above_hard_limit_refused_at_once(capsys):
+    diagram = " ".join(f"{c} {c}" for c in range(1, 30)) + ";" + "+" * 29
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "chord", "bracket", "-i", diagram, "--max-n", "40")
+    assert time.perf_counter() - start < 1.0  # the surgery loop would run 2^29 states
+    assert_one_line_error(code, err, exit_code=3)
+    assert "STATE_SUM_LIMIT=28" in err and out == ""

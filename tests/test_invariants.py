@@ -12,11 +12,11 @@ from graphlink import (
     writhe,
 )
 from graphlink.errors import DomainError, ResourceLimitError
-from graphlink.invariants import brackets_unit_equivalent
+from graphlink.invariants import _reduced_components, _state_sum, brackets_unit_equivalent
 from graphlink.laurent import LaurentPoly, mono, one, span
 from graphlink.moves import MoveKind, MoveSite, apply, enumerate_sites
 
-from helpers import as_dict, bracket_reference, g7, random_graph
+from helpers import as_dict, bracket_reference, g7, random_graph, shuffled
 
 
 def test_unit_brackets():
@@ -41,10 +41,79 @@ def test_bracket_matches_reference_oracle():
 def test_bracket_thread_count_is_unobservable(monkeypatch):
     rng = random.Random(32)
     g = random_graph(rng, 9)
+    assert _reduced_components(g) == [g]  # nothing to strip: the sweep spans all 9
     base = kauffman_bracket(g)
     assert base == kauffman_bracket(g, threads=4)
     monkeypatch.setattr(gf2, "BLOCK_BITS", 4)  # 32 blocks in the sweep and the tally
     assert base == kauffman_bracket(g, threads=4)
+
+
+def _union(g: LabeledGraph, h: LabeledGraph) -> LabeledGraph:
+    k = g.n
+    edges = list(g.edges) + [(u + k, v + k) for u, v in h.edges]
+    return LabeledGraph.from_edges(g.labels + h.labels, edges)
+
+
+def _grown(rng: random.Random, g: LabeledGraph, extra: int) -> LabeledGraph:
+    """g plus ``extra`` vertices: isolated ones and R2 pairs whose
+    neighbourhoods may take in earlier pairs, in shuffled vertex order."""
+    while extra > 0:
+        if extra == 1 or rng.random() < 0.3:
+            g = apply(g, MoveSite(MoveKind.R1_ADD, label=rng.choice((1, -1))))
+            extra -= 1
+        else:
+            nb = frozenset(t for t in range(g.n) if rng.random() < 0.4)
+            g = apply(g, MoveSite(MoveKind.R2_ADD, neighborhood=nb))
+            extra -= 2
+    return shuffled(rng, g)
+
+
+def test_reduced_bracket_matches_reference_oracle():
+    rng = random.Random(39)
+    for trial in range(90):
+        shape = trial % 3
+        if shape == 0:
+            base = random_graph(rng, rng.randint(0, 5))
+            g = _grown(rng, base, rng.randint(0, 10 - base.n))
+        elif shape == 1:
+            k = rng.randint(0, 5)
+            g = _union(random_graph(rng, k), random_graph(rng, rng.randint(0, 10 - k), 0.6))
+        else:
+            grown = _grown(rng, LabeledGraph.empty(), 6)
+            g = shuffled(rng, _union(random_graph(rng, 4, 0.7), grown))
+        assert as_dict(kauffman_bracket(g)) == bracket_reference(g)
+
+
+def test_reduced_bracket_of_empty_and_edgeless_graphs():
+    assert _reduced_components(LabeledGraph.empty()) == []
+    for labels in ("+-+", "++++", "--+--", "+-" * 5):
+        g = LabeledGraph.from_edges(labels)
+        assert as_dict(kauffman_bracket(g)) == bracket_reference(g)
+    # twins pair off; what is left is one isolated vertex per surplus label
+    parts = _reduced_components(LabeledGraph.from_edges("--+--"))
+    assert parts == [LabeledGraph.from_edges("-")] * 3
+
+
+def test_r2_pair_chain_reduces_to_the_base():
+    # the second pair hangs on one vertex of the first, so the first is a
+    # pair only once the second is gone
+    base = g7()
+    g = apply(base, MoveSite(MoveKind.R2_ADD, neighborhood=frozenset({0, 3})))
+    g = apply(g, MoveSite(MoveKind.R2_ADD, neighborhood=frozenset({7, 2})))
+    assert [s.vertices for s in enumerate_sites(g, {MoveKind.R2_REMOVE})] == [(9, 10)]
+    assert _reduced_components(g) == [base]
+    assert as_dict(kauffman_bracket(g)) == bracket_reference(g)
+
+
+def test_reduced_bracket_equals_whole_graph_sweep():
+    rng = random.Random(40)
+    for n in range(12, 17):
+        for g in (
+            _grown(rng, random_graph(rng, 6, 0.5), n - 6),
+            _union(random_graph(rng, 5, 0.6), random_graph(rng, n - 5, 0.3)),
+        ):
+            assert [part.n for part in _reduced_components(g)] != [n]
+            assert kauffman_bracket(g) == _state_sum(g, threads=1)
 
 
 def test_bracket_resource_limit():

@@ -9,6 +9,7 @@ from graphlink import (
     is_graph_knot,
     kauffman_bracket,
 )
+from graphlink import invariants, orbit
 from graphlink.invariants import brackets_unit_equivalent
 from graphlink.laurent import span
 from graphlink.moves import MoveKind, MoveSite, apply
@@ -123,6 +124,22 @@ def test_are_equivalent_single_vertex_labels():
     minus = LabeledGraph.from_edges("-")
     assert are_equivalent_bounded(plus, minus, max_depth=3) == EQUIVALENT
     assert are_equivalent_bounded(LabeledGraph.empty(), plus, max_depth=3) == EQUIVALENT
+
+
+def test_are_equivalent_computes_each_bracket_once(monkeypatch):
+    calls = []
+
+    def counted(g, *args, **kwargs):
+        calls.append(g)
+        return kauffman_bracket(g, *args, **kwargs)
+
+    monkeypatch.setattr(invariants, "kauffman_bracket", counted)
+    monkeypatch.setattr(orbit, "kauffman_bracket", counted)
+    plus = LabeledGraph.from_edges("+")
+    minus = LabeledGraph.from_edges("-")
+    # both graph-knots with unit-equivalent brackets, so Jones is compared too
+    assert are_equivalent_bounded(plus, minus, max_depth=3) == EQUIVALENT
+    assert calls == [plus, minus]
 
 
 def test_are_equivalent_distinct_by_invariant():
