@@ -10,13 +10,11 @@ every sub-state, and uses that to cross-check the bracket itself.
 import random
 
 from graphlink import (
-    adjacency_matrix,
     bracket_via_surgery,
     corank,
     intersection_graph,
     kauffman_bracket,
     parse_diagram,
-    principal_submatrix,
     realizability_search,
     serialize,
     serialize_diagram,
@@ -31,11 +29,11 @@ print(f"intersection graph: {serialize(g)}")
 
 print()
 print("== circles per chord subset: surgery vs corank ==")
-adj = adjacency_matrix(g)
 for mask in range(1 << d.n):
     chords = [c + 1 for c in range(d.n) if (mask >> c) & 1]
     by_surgery = surgery_circle_count(d, chords)
-    by_corank = corank(principal_submatrix(adj, [c - 1 for c in chords])) + 1
+    # the rows of the chosen chords, masked to their columns
+    by_corank = corank([g.adj[c - 1] & mask for c in chords]) + 1
     mark = "ok" if by_surgery == by_corank else "MISMATCH"
     print(f"  chords {str(chords):12s} surgery {by_surgery}  corank+1 {by_corank}  {mark}")
 

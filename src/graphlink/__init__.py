@@ -25,12 +25,11 @@ from .errors import (
     ParseError,
     ResourceLimitError,
 )
-from .gf2 import BitMatrix, add_identity, corank, flip_diagonal, principal_submatrix, rank
+from .gf2 import corank, rank
 from .graph import (
     LabeledGraph,
     State,
     a_state,
-    adjacency_matrix,
     alpha,
     b_state,
     circle_count,
@@ -61,7 +60,6 @@ from .orbit import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitMatrix",
     "ChordDiagram",
     "DomainError",
     "GraphLinkError",
@@ -77,8 +75,6 @@ __all__ = [
     "ResourceLimitError",
     "State",
     "a_state",
-    "add_identity",
-    "adjacency_matrix",
     "alpha",
     "analyze",
     "apply",
@@ -92,7 +88,6 @@ __all__ = [
     "circle_count",
     "corank",
     "enumerate_sites",
-    "flip_diagonal",
     "intersection_graph",
     "is_graph_knot",
     "jones",
@@ -103,7 +98,6 @@ __all__ = [
     "opposite",
     "parse",
     "parse_diagram",
-    "principal_submatrix",
     "rank",
     "realizability_search",
     "serialize",

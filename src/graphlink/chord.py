@@ -207,15 +207,7 @@ def realizability_search(
         degs = sorted(rows[c].bit_count() for c in range(1, n + 1))
         if degs != target_degrees:
             return None
-        cand = LabeledGraph.from_edges(
-            (1,) * n,
-            [
-                (i - 1, j - 1)
-                for i in range(1, n + 1)
-                for j in range(i + 1, n + 1)
-                if (rows[i] >> j) & 1
-            ],
-        )
+        cand = LabeledGraph(n, (1,) * n, tuple(r >> 1 for r in rows[1:]))
         key, perm = orbit.canonical_permutation(cand)
         if key != target_key:
             return None
@@ -224,10 +216,7 @@ def realizability_search(
         for pos in range(n):
             iso[perm[pos]] = target_perm[pos]
         signs = tuple(g.labels[iso[c]] for c in range(n))
-        word = [0] * m
-        for p in range(m):
-            word[p] = chord_of[p]
-        return ChordDiagram(tuple(word), signs)
+        return ChordDiagram(tuple(chord_of), signs)
 
     def place(pos: int, next_id: int) -> bool:
         # returns True when the scan should stop (witness or budget)

@@ -4,10 +4,12 @@ Exit codes: 0 success, 1 domain error, 2 parse/usage error, 3 resource
 limit.  ``--json`` output is byte-stable for identical inputs and seeds.
 ``GLK_THREADS`` caps the worker count used for state sums; it must be a
 positive integer.  Numeric limits are checked before any work: a negative
-``--max-n``/``--max-depth``/``--max-vertices`` or a ``--budget``/
-``--max-states`` below 1 is a usage error (exit 2).  A state sum over more
-than ``gf2.STATE_SUM_LIMIT`` vertices is refused with exit 3 whatever
-``--max-n`` says.
+``--max-n``/``--max-depth``/``--max-vertices``/``--trials`` or a
+``--budget``/``--max-states`` below 1 is a usage error (exit 2).  So is an
+input or ``--moves`` file that cannot be read or is not UTF-8, and JSON
+that nests too deeply or holds an integer too long to convert.  A state
+sum over more than ``gf2.STATE_SUM_LIMIT`` vertices is refused with exit 3
+whatever ``--max-n`` says.
 """
 
 from __future__ import annotations
@@ -29,7 +31,14 @@ EXIT_RESOURCE = 3
 
 
 #: Smallest accepted value of each numeric option (argparse dest names).
-_MINIMUM = {"max_n": 0, "max_depth": 0, "max_vertices": 0, "budget": 1, "max_states": 1}
+_MINIMUM = {
+    "max_n": 0,
+    "max_depth": 0,
+    "max_vertices": 0,
+    "budget": 1,
+    "max_states": 1,
+    "trials": 0,
+}
 
 
 def _threads() -> int:
@@ -51,6 +60,22 @@ def _check_limits(args: argparse.Namespace) -> None:
             raise ParseError(f"{option} must be at least {low}, got {value}")
 
 
+def _exists(path: Path) -> bool:
+    try:
+        return path.exists()
+    except OSError:  # a name too long for a file, such as a long inline script
+        return False
+
+
+def _read_file(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (invalid byte at offset {exc.start})")
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}")
+
+
 def _read_input(args: argparse.Namespace) -> str:
     if args.inline is not None and args.file is not None:
         raise ParseError("give either -i INLINE or FILE, not both")
@@ -58,9 +83,9 @@ def _read_input(args: argparse.Namespace) -> str:
         return args.inline
     if args.file is not None:
         path = Path(args.file)
-        if not path.exists():
+        if not _exists(path):
             raise ParseError(f"input file not found: {path}")
-        return path.read_text()
+        return _read_file(path)
     raise ParseError("no input: give -i INLINE or FILE")
 
 
@@ -74,7 +99,7 @@ def _load_diagram(args: argparse.Namespace) -> chord.ChordDiagram:
 
 def _read_script(value: str) -> list[moves.MoveSite]:
     path = Path(value)
-    text = path.read_text() if path.exists() else value.replace(";", "\n")
+    text = _read_file(path) if _exists(path) else value.replace(";", "\n")
     return moves.parse_script(text)
 
 

@@ -1,16 +1,22 @@
 """Bit-packed linear algebra over GF(2).
 
-A square 0/1 matrix is stored as one Python integer per row; bit ``j`` of
+A 0/1 matrix is a sequence of Python integers, one per row; bit ``j`` of
 ``rows[i]`` is the entry in row i, column j.  Rank is forward Gaussian
 elimination with first-set-bit pivoting (there is no tie-breaking freedom
-over GF(2)).  All operations are pure functions on immutable values and may
-be called concurrently without synchronization.
+over GF(2)).
+
+A principal submatrix is never copied out.  The rows of a vertex set s,
+each masked to the columns of s (``rows[i] & s``), have the same rank as
+the compacted submatrix on s, because masking only drops zero columns.  So
+``corank([rows[i] & s for i in s])`` and ``subset_coranks(rows, n)[s]``
+are the same number: the corank of the principal submatrix on s.  No
+function modifies its arguments, and all may be called concurrently
+without synchronization.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,65 +36,7 @@ STATE_SUM_LIMIT = 28
 BLOCK_BITS = 18
 
 
-@dataclass(frozen=True)
-class BitMatrix:
-    """Square matrix over GF(2) with bit-packed rows."""
-
-    n: int
-    rows: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("dimension must be non-negative")
-        if self.n > DIM_LIMIT:
-            raise ResourceLimitError(
-                f"matrix dimension {self.n} exceeds DIM_LIMIT={DIM_LIMIT}"
-            )
-        if len(self.rows) != self.n:
-            raise ValueError(f"expected {self.n} rows, got {len(self.rows)}")
-        width = (1 << self.n) - 1
-        for r in self.rows:
-            if r < 0 or r & ~width:
-                raise ValueError("row has bits set outside the matrix width")
-
-    @classmethod
-    def zero(cls, n: int) -> "BitMatrix":
-        return cls(n, (0,) * n)
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def from_dense(cls, entries: Sequence[Sequence[int]]) -> "BitMatrix":
-        n = len(entries)
-        rows = []
-        for row in entries:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-            packed = 0
-            for j, v in enumerate(row):
-                if v not in (0, 1):
-                    raise ValueError("entries must be 0 or 1")
-                packed |= v << j
-            rows.append(packed)
-        return cls(n, tuple(rows))
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
-    def to_dense(self) -> list[list[int]]:
-        return [[self.entry(i, j) for j in range(self.n)] for i in range(self.n)]
-
-    def is_symmetric(self) -> bool:
-        return all(
-            self.entry(i, j) == self.entry(j, i)
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
-
-
-def rank_of_rows(rows: Iterable[int]) -> int:
+def rank(rows: Iterable[int]) -> int:
     """GF(2) row rank of bit-packed rows."""
     pivots: dict[int, int] = {}
     count = 0
@@ -104,43 +52,16 @@ def rank_of_rows(rows: Iterable[int]) -> int:
     return count
 
 
-def rank(m: BitMatrix) -> int:
-    """GF(2) row rank of ``m``."""
-    return rank_of_rows(m.rows)
+def corank(rows: Sequence[int]) -> int:
+    """len(rows) - rank(rows), the nullity of a square matrix given by its
+    rows.  No rows (the 0x0 matrix) have corank 0."""
+    return len(rows) - rank(rows)
 
 
-def corank(m: BitMatrix) -> int:
-    """n - rank(m).  The empty 0x0 matrix has corank 0."""
-    return m.n - rank(m)
-
-
-def principal_submatrix(m: BitMatrix, subset: Iterable[int]) -> BitMatrix:
-    """Submatrix with rows and columns restricted to ``subset``, order kept."""
-    idx = sorted(set(subset))
-    if idx and (idx[0] < 0 or idx[-1] >= m.n):
-        raise IndexError(f"subset index out of range for dimension {m.n}")
-    rows = []
-    for i in idx:
-        src = m.rows[i]
-        packed = 0
-        for a, j in enumerate(idx):
-            packed |= ((src >> j) & 1) << a
-        rows.append(packed)
-    return BitMatrix(len(idx), tuple(rows))
-
-
-def add_identity(m: BitMatrix) -> BitMatrix:
-    """XOR 1 into every diagonal entry (returns a new matrix)."""
-    return BitMatrix(m.n, tuple(r ^ (1 << i) for i, r in enumerate(m.rows)))
-
-
-def flip_diagonal(m: BitMatrix, i: int) -> BitMatrix:
-    """XOR 1 into the i-th diagonal entry (returns a new matrix)."""
-    if not 0 <= i < m.n:
-        raise IndexError(f"diagonal index {i} out of range for dimension {m.n}")
-    rows = list(m.rows)
-    rows[i] ^= 1 << i
-    return BitMatrix(m.n, tuple(rows))
+def check_dim(n: int) -> None:
+    """Refuse a matrix of dimension n > DIM_LIMIT."""
+    if n > DIM_LIMIT:
+        raise ResourceLimitError(f"matrix dimension {n} exceeds DIM_LIMIT={DIM_LIMIT}")
 
 
 def check_state_sum(n: int) -> None:

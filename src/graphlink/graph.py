@@ -149,16 +149,11 @@ def check_state(g: LabeledGraph, s: State) -> None:
         raise ValueError(f"state {bin(s.mask)} has vertices outside the graph")
 
 
-def adjacency_matrix(g: LabeledGraph) -> gf2.BitMatrix:
-    """The (symmetric, zero-diagonal) adjacency matrix over GF(2)."""
-    return gf2.BitMatrix(g.n, g.adj)
-
-
 def circle_count(g: LabeledGraph, s: State) -> int:
     """Number of circles of a state: corank of the induced adjacency plus 1."""
     check_state(g, s)
-    sub = gf2.principal_submatrix(adjacency_matrix(g), s.members)
-    return gf2.corank(sub) + 1
+    gf2.check_dim(g.n)
+    return gf2.corank([g.adj[v] & s.mask for v in s.members]) + 1
 
 
 def alpha(g: LabeledGraph, s: State) -> int:
@@ -254,6 +249,11 @@ def from_json(text: str) -> LabeledGraph:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, offset {exc.colno}: {exc.msg}")
+    except ValueError:
+        # the only other ValueError: an integer literal past int's digit limit
+        raise ParseError("JSON graph has an integer literal with too many digits")
+    except RecursionError:
+        raise ParseError("JSON graph is nested too deeply")
     if not isinstance(obj, dict):
         raise ParseError("JSON graph must be an object")
     try:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import gf2
 from .errors import DomainError, ResourceLimitError
-from .graph import LabeledGraph, State, a_state, adjacency_matrix, b_state, circle_count
+from .graph import LabeledGraph, State, a_state, b_state, circle_count
 from .laurent import LaurentPoly, loop_factor_pow, one, span, unit_normalize
 from .moves import R2_REMOVE, _delete_vertices, _precondition
 
@@ -115,22 +115,30 @@ def kauffman_bracket(
     return total
 
 
+def _a_plus_e(g: LabeledGraph) -> list[int]:
+    """The rows of A(G) + E, the adjacency matrix with a full diagonal."""
+    gf2.check_dim(g.n)
+    return [r | 1 << i for i, r in enumerate(g.adj)]
+
+
 def is_graph_knot(g: LabeledGraph) -> bool:
     """True iff corank(A(G) + E) = 0, i.e. the graph represents a one-
     component object.  Constant across a move orbit, so one representative
     decides."""
-    return gf2.corank(gf2.add_identity(adjacency_matrix(g))) == 0
+    return gf2.corank(_a_plus_e(g)) == 0
 
 
 def writhe(g: LabeledGraph) -> int:
     """Writhe number: sum over vertices of (-1)^corank(B_i) * sign(v_i),
     with B_i = A + E + E_ii.  Defined only for graph-knots."""
-    if not is_graph_knot(g):
+    rows = _a_plus_e(g)
+    if gf2.corank(rows):
         raise DomainError("writhe is defined only for graph-knots (corank(A+E)=0)")
-    base = gf2.add_identity(adjacency_matrix(g))
     total = 0
     for i in range(g.n):
-        c = gf2.corank(gf2.flip_diagonal(base, i))
+        rows[i] ^= 1 << i
+        c = gf2.corank(rows)
+        rows[i] ^= 1 << i
         total += -g.labels[i] if c % 2 else g.labels[i]
     return total
 

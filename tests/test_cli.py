@@ -309,6 +309,7 @@ def test_bad_glk_threads_exit_2(capsys, monkeypatch, value):
         ["orbit", "-i", "1;+;", "--max-states", "0"],
         ["bracket", "-i", "1;+;", "--max-n", "-1"],
         ["props", "-i", "1;+;", "--max-n", "-1"],
+        ["selftest", "--trials", "-3"],
     ],
 )
 def test_out_of_range_numeric_options_exit_2(capsys, argv):
@@ -338,3 +339,52 @@ def test_chord_bracket_above_hard_limit_refused_at_once(capsys):
     assert time.perf_counter() - start < 1.0  # the surgery loop would run 2^29 states
     assert_one_line_error(code, err, exit_code=3)
     assert "STATE_SUM_LIMIT=28" in err and out == ""
+
+
+def test_directory_input_exit_2(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "bracket", str(tmp_path))
+    assert_one_line_error(code, err)
+    assert "Is a directory" in err and out == ""
+
+
+def test_non_utf8_input_and_script_exit_2(capsys, tmp_path):
+    graph_file = tmp_path / "bad.glg"
+    graph_file.write_bytes(b"\xff\xfe1;+;")
+    code, out, err = run_cli(capsys, "bracket", str(graph_file))
+    assert_one_line_error(code, err)
+    assert "not UTF-8" in err and out == ""
+    script_file = tmp_path / "bad.moves"
+    script_file.write_bytes(b"R1_add +\n\xff")
+    code, out, err = run_cli(capsys, "moves", "apply", "-i", "1;+;", "--moves", str(script_file))
+    assert_one_line_error(code, err)
+    assert "not UTF-8" in err and out == ""
+
+
+def test_json_integer_over_digit_limit_exit_2(capsys):
+    text = '{"n": ' + "9" * 5000 + ', "labels": [], "edges": []}'
+    code, out, err = run_cli(capsys, "bracket", "-i", text)
+    assert_one_line_error(code, err)
+    assert "too many digits" in err and out == ""
+
+
+def test_deeply_nested_json_exit_2(capsys):
+    text = '{"n": 1, "labels": ' + "[" * 100_000 + "]" * 100_000 + ', "edges": []}'
+    code, out, err = run_cli(capsys, "bracket", "-i", text)
+    assert_one_line_error(code, err)
+    assert "nested too deeply" in err and out == ""
+
+
+def test_inline_move_script_longer_than_a_file_name(capsys):
+    # the script is first looked up as a path; a long one must not be an error
+    code, out, _ = run_cli(capsys, "moves", "apply", "-i", "1;+;", "--moves", "R1_add +;" * 40)
+    assert code == 0
+    assert out == "41;" + "+" * 41 + ";\n"
+
+
+@pytest.mark.parametrize("command", ["props", "writhe", "jones"])
+def test_matrix_dimension_refused_by_vertex_count(capsys, command):
+    # the A-state holds 68 vertices; the refusal names the graph's n = 70
+    text = "70;" + "-" * 68 + "++;1-2,69-70"
+    code, out, err = run_cli(capsys, command, "-i", text)
+    assert_one_line_error(code, err, exit_code=3)
+    assert "matrix dimension 70 exceeds DIM_LIMIT=64" in err and out == ""

@@ -3,33 +3,36 @@ import random
 import numpy as np
 import pytest
 
-from graphlink import gf2
+from graphlink import LabeledGraph, gf2
 from graphlink.errors import ResourceLimitError
+from graphlink.invariants import _a_plus_e
 
-from helpers import dense_adjacency, g7, naive_rank, random_graph
+from helpers import dense_adjacency, dense_submatrix, g7, naive_rank, random_graph
 
 
-def bitmatrix_from_dense(dense):
-    return gf2.BitMatrix.from_dense(dense)
+def rows_from_dense(dense):
+    return [sum(v << j for j, v in enumerate(row)) for row in dense]
+
+
+def masked_rows(rows, mask):
+    return [rows[v] & mask for v in range(len(rows)) if (mask >> v) & 1]
 
 
 def test_zero_matrix_rank():
-    assert gf2.rank(gf2.BitMatrix.zero(3)) == 0
+    assert gf2.rank([0, 0, 0]) == 0
 
 
 def test_permutation_matrix_rank():
-    m = gf2.BitMatrix.from_dense([[0, 1], [1, 0]])
-    assert gf2.rank(m) == 2
+    assert gf2.rank(rows_from_dense([[0, 1], [1, 0]])) == 2
 
 
 def test_empty_matrix_conventions():
-    m = gf2.BitMatrix.zero(0)
-    assert gf2.rank(m) == 0
-    assert gf2.corank(m) == 0
+    assert gf2.rank([]) == 0
+    assert gf2.corank([]) == 0
 
 
 def test_one_by_one_zero_corank():
-    assert gf2.corank(gf2.BitMatrix.zero(1)) == 1
+    assert gf2.corank([0]) == 1
 
 
 def test_g7_rank_values_match_naive_oracle():
@@ -40,44 +43,34 @@ def test_g7_rank_values_match_naive_oracle():
     ]
     # independent elimination first, then the bit-packed kernel
     assert naive_rank(dense_ae) == 4
-    m = gf2.add_identity(bitmatrix_from_dense(dense))
-    assert gf2.rank(m) == 4
-    assert gf2.corank(m) == 3
+    rows = rows_from_dense(dense_ae)
+    assert rows == _a_plus_e(g)
+    assert gf2.rank(rows) == 4
+    assert gf2.corank(rows) == 3
 
 
 def test_principal_submatrix_empty_and_full():
-    m = bitmatrix_from_dense([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-    assert gf2.principal_submatrix(m, []) == gf2.BitMatrix.zero(0)
-    assert gf2.principal_submatrix(m, range(3)) == m
+    rows = rows_from_dense([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    assert masked_rows(rows, 0) == []
+    assert masked_rows(rows, 0b111) == rows
+    assert gf2.corank(masked_rows(rows, 0b101)) == 2
 
 
 def test_principal_submatrix_g7_odd_vertices_is_zero():
     g = g7()
-    m = gf2.BitMatrix(g.n, g.adj)
-    sub = gf2.principal_submatrix(m, [0, 2, 4, 6])  # 1-based odd vertices
-    assert sub == gf2.BitMatrix.zero(4)
+    sub = masked_rows(list(g.adj), 0b1010101)  # 1-based odd vertices
+    assert sub == [0, 0, 0, 0]
     assert gf2.corank(sub) == 4
 
 
-def test_principal_submatrix_index_error():
-    m = gf2.BitMatrix.zero(2)
-    with pytest.raises(IndexError):
-        gf2.principal_submatrix(m, [0, 5])
-
-
 def test_add_identity_and_flip_diagonal():
-    assert gf2.add_identity(gf2.BitMatrix.zero(1)) == gf2.BitMatrix.from_dense([[1]])
-    assert gf2.flip_diagonal(gf2.BitMatrix.from_dense([[1]]), 0) == gf2.BitMatrix.zero(1)
-    two = gf2.BitMatrix.from_dense([[0, 1], [1, 0]])
-    assert gf2.add_identity(two) == gf2.BitMatrix.from_dense([[1, 1], [1, 1]])
-    with pytest.raises(IndexError):
-        gf2.flip_diagonal(two, 2)
-
-
-def test_flip_diagonal_is_pure():
-    m = gf2.BitMatrix.zero(2)
-    gf2.flip_diagonal(m, 0)
-    assert m == gf2.BitMatrix.zero(2)
+    # the A+E rows and the single diagonal flips that writhe takes coranks of
+    k1 = LabeledGraph.from_edges("+")
+    k2 = LabeledGraph.from_edges("++", [(0, 1)])
+    assert _a_plus_e(k1) == [0b1] and gf2.corank([0b1]) == 0
+    assert gf2.corank([0b0]) == 1
+    assert _a_plus_e(k2) == [0b11, 0b11] and gf2.corank([0b11, 0b11]) == 1
+    assert gf2.corank([0b10, 0b11]) == 0
 
 
 def random_dense(rng, n, symmetric):
@@ -93,17 +86,17 @@ def test_corank_plus_rank_is_n():
     rng = random.Random(102)
     for _ in range(300):
         n = rng.randint(0, 16)
-        m = bitmatrix_from_dense(random_dense(rng, n, False))
-        assert gf2.rank(m) + gf2.corank(m) == n
+        rows = rows_from_dense(random_dense(rng, n, False))
+        assert gf2.rank(rows) + gf2.corank(rows) == n
 
 
 def test_submatrix_rank_never_exceeds_rank():
     rng = random.Random(103)
     for _ in range(200):
         n = rng.randint(0, 12)
-        m = bitmatrix_from_dense(random_dense(rng, n, True))
-        subset = [v for v in range(n) if rng.random() < 0.5]
-        assert gf2.rank(gf2.principal_submatrix(m, subset)) <= gf2.rank(m)
+        rows = rows_from_dense(random_dense(rng, n, True))
+        mask = rng.getrandbits(n)
+        assert gf2.rank(masked_rows(rows, mask)) <= gf2.rank(rows)
 
 
 def test_bitpacked_rank_matches_naive_oracle_1000_matrices():
@@ -111,7 +104,7 @@ def test_bitpacked_rank_matches_naive_oracle_1000_matrices():
     for _ in range(1000):
         n = rng.randint(0, 32)
         dense = random_dense(rng, n, rng.random() < 0.5)
-        assert gf2.rank(bitmatrix_from_dense(dense)) == naive_rank(dense)
+        assert gf2.rank(rows_from_dense(dense)) == naive_rank(dense)
 
 
 def test_subset_coranks_matches_per_state_corank():
@@ -119,10 +112,23 @@ def test_subset_coranks_matches_per_state_corank():
     for _ in range(30):
         g = random_graph(rng, rng.randint(0, 9))
         coranks = gf2.subset_coranks(g.adj, g.n)
-        m = gf2.BitMatrix(g.n, g.adj)
         for mask in range(1 << g.n):
-            members = [v for v in range(g.n) if (mask >> v) & 1]
-            assert coranks[mask] == gf2.corank(gf2.principal_submatrix(m, members))
+            assert coranks[mask] == gf2.corank(masked_rows(g.adj, mask))
+
+
+def test_masked_rows_corank_matches_naive_dense_submatrix():
+    # masking rows to a state's columns keeps the rank of the compacted
+    # principal submatrix, for the per-state and the all-states kernel alike
+    rng = random.Random(107)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(0, 9), rng.choice([0.2, 0.5, 0.8]))
+        dense = dense_adjacency(g)
+        coranks = gf2.subset_coranks(g.adj, g.n)
+        for mask in range(1 << g.n):
+            idx = [v for v in range(g.n) if (mask >> v) & 1]
+            want = len(idx) - naive_rank(dense_submatrix(dense, idx))
+            assert gf2.corank(masked_rows(g.adj, mask)) == want
+            assert coranks[mask] == want
 
 
 def test_subset_coranks_thread_and_block_invariance(monkeypatch):
@@ -135,12 +141,6 @@ def test_subset_coranks_thread_and_block_invariance(monkeypatch):
 
 
 def test_dimension_cap():
-    with pytest.raises(ResourceLimitError):
-        gf2.BitMatrix.zero(gf2.DIM_LIMIT + 1)
-
-
-def test_row_width_validation():
-    with pytest.raises(ValueError):
-        gf2.BitMatrix(1, (2,))
-    with pytest.raises(ValueError):
-        gf2.BitMatrix(2, (0,))
+    gf2.check_dim(gf2.DIM_LIMIT)
+    with pytest.raises(ResourceLimitError, match=f"dimension {gf2.DIM_LIMIT + 1} "):
+        gf2.check_dim(gf2.DIM_LIMIT + 1)

@@ -7,7 +7,6 @@ from graphlink import (
     LabeledGraph,
     State,
     a_state,
-    adjacency_matrix,
     alpha,
     b_state,
     circle_count,
@@ -32,17 +31,6 @@ def test_parse_g7():
     assert len(g.edges) == 9
 
 
-def test_adjacency_matrix_examples():
-    single = LabeledGraph.from_edges("+")
-    assert adjacency_matrix(single).rows == (0,)
-    k2 = LabeledGraph.from_edges("++", [(0, 1)])
-    assert adjacency_matrix(k2).to_dense() == [[0, 1], [1, 0]]
-    m = adjacency_matrix(g7())
-    assert m.is_symmetric()
-    assert all(m.entry(i, i) == 0 for i in range(7))
-    assert [m.entry(6, j) for j in range(7)] == [0, 1, 0, 1, 0, 1, 0]
-
-
 def test_circle_count_examples():
     g = g7()
     assert circle_count(g, State(0)) == 1
@@ -50,6 +38,8 @@ def test_circle_count_examples():
     assert circle_count(k2, State.of([0, 1])) == 1
     assert circle_count(g, a_state(g)) == 5
     assert circle_count(g, b_state(g)) == 4
+    with pytest.raises(ValueError, match="outside the graph"):
+        circle_count(g, State(1 << 7))
 
 
 def test_alpha_examples():
