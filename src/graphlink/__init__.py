@@ -36,7 +36,6 @@ from .graph import (
     opposite,
     parse,
     serialize,
-    state_distance,
     to_json,
 )
 from .invariants import (
@@ -103,7 +102,6 @@ __all__ = [
     "serialize",
     "serialize_diagram",
     "span",
-    "state_distance",
     "surgery_circle_count",
     "to_json",
     "unit_normalize",

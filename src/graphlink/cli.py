@@ -1,20 +1,23 @@
 """The ``glk`` command line: every library operation on files or inline text.
 
 Exit codes: 0 success, 1 domain error, 2 parse/usage error, 3 resource
-limit.  ``--json`` output is byte-stable for identical inputs and seeds.
-``GLK_THREADS`` caps the worker count used for state sums; it must be a
-positive integer.  Numeric limits are checked before any work: a negative
+limit.  Every error is one line on stderr, argparse's own usage errors
+included; ``-h`` prints help and exits 0.  ``--json`` output is
+byte-stable for identical inputs and seeds.  ``GLK_THREADS`` caps the
+worker count used for state sums; it must be a positive integer.  Numeric
+limits are checked before any work: a negative
 ``--max-n``/``--max-depth``/``--max-vertices``/``--trials`` or a
 ``--budget``/``--max-states`` below 1 is a usage error (exit 2).  So is an
 input or ``--moves`` file that cannot be read or is not UTF-8, and JSON
 that nests too deeply or holds an integer too long to convert.  A state
 sum over more than ``gf2.STATE_SUM_LIMIT`` vertices is refused with exit 3
-whatever ``--max-n`` says.
+whatever ``--max-n`` says.  The parser is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -103,16 +106,25 @@ def _read_script(value: str) -> list[moves.MoveSite]:
     return moves.parse_script(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ParseError (one line, exit 2) instead of
+    printing the usage block and exiting.  Subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise ParseError(message)
+
+
 def _add_io(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("file", nargs="?", help="input file (.glg graph or .cd diagram)")
     parser.add_argument("-i", "--inline", help="inline input text")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="glk", description="graph-link invariants and oracles"
-    )
+    """The ``glk`` parser; built on the first call and shared after it, so
+    nothing may modify it (``parse_args`` does not)."""
+    top = _Parser(prog="glk", description="graph-link invariants and oracles")
     sub = top.add_subparsers(dest="command", required=True)
 
     for name, text in (

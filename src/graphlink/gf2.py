@@ -12,16 +12,20 @@ the compacted submatrix on s, because masking only drops zero columns.  So
 are the same number: the corank of the principal submatrix on s.  No
 function modifies its arguments, and all may be called concurrently
 without synchronization.
+
+Only ``subset_coranks`` needs numpy, and it imports numpy when first
+called, so a process that takes only per-state coranks never loads it.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ResourceLimitError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Hard cap on matrix dimension.  Rows are arbitrary-precision Python ints,
 #: so the cap is a sanity bound on input size, not a machine-word limit.
@@ -85,6 +89,8 @@ def subset_coranks(rows: Sequence[int], n: int, threads: int = 1) -> np.ndarray:
     Raises ResourceLimitError for n > STATE_SUM_LIMIT before allocating.
     """
     check_state_sum(n)
+    import numpy as np
+
     total = 1 << n
     row_vals = np.asarray(list(rows), dtype=np.uint32)
     out = np.empty(total, dtype=np.uint8)

@@ -140,9 +140,6 @@ class State:
     def size(self) -> int:
         return self.mask.bit_count()
 
-    def contains(self, v: int) -> bool:
-        return bool((self.mask >> v) & 1)
-
 
 def check_state(g: LabeledGraph, s: State) -> None:
     if s.mask < 0 or s.mask >> g.n:
@@ -176,11 +173,6 @@ def b_state(g: LabeledGraph) -> State:
 def opposite(g: LabeledGraph, s: State) -> State:
     check_state(g, s)
     return State(((1 << g.n) - 1) ^ s.mask)
-
-
-def state_distance(s1: State, s2: State) -> int:
-    """Number of vertices in which two states differ."""
-    return (s1.mask ^ s2.mask).bit_count()
 
 
 # ---------------------------------------------------------------------------

@@ -7,18 +7,19 @@ the contribution of a state s is a^(2*alpha(s) - n) times the loop factor
 sum is taken per reduced component: R2 pairs are deleted first (the second
 move leaves the bracket unchanged), and the rest factors over connected
 components, because alpha and the corank both add up across a disjoint
-union.  Each component's states are enumerated in bitmask order and may be
-partitioned across threads; the merge is an exact commutative sum, so the
-result is bit-identical for any worker count.  Whether a sum is refused
-depends on the input's n, not on the reduced size.
+union.  A component of at most ``_PYTHON_SWEEP_MAX_N`` vertices is swept
+state by state in pure Python; a larger one by ``gf2.subset_coranks``,
+whose numpy blocks may be partitioned across threads.  Either way the
+states are tallied by (alpha, corank) and the merge is an exact
+commutative sum, so the result is bit-identical for any path or worker
+count.  Whether a sum is refused depends on the input's n, not on the
+reduced size.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from . import gf2
 from .errors import DomainError, ResourceLimitError
@@ -28,6 +29,11 @@ from .moves import R2_REMOVE, _delete_vertices, _precondition
 
 #: Default cap on the state-sum size (2**n states).
 DEFAULT_MAX_N = 24
+
+#: Largest component swept in pure Python.  Past it the per-state loop
+#: costs more than the numpy sweep's fixed cost per call (the two are
+#: level at 9 vertices).
+_PYTHON_SWEEP_MAX_N = 8
 
 
 @lru_cache(maxsize=None)
@@ -67,13 +73,24 @@ def _reduced_components(g: LabeledGraph) -> list[LabeledGraph]:
     return parts
 
 
-def _state_sum(g: LabeledGraph, threads: int) -> LaurentPoly:
-    """The bracket of g as one sweep over all 2**g.n states.
+def _tally_per_state(g: LabeledGraph) -> dict[tuple[int, int], int]:
+    """Count of states by (alpha, corank), one ``gf2.corank`` of the rows
+    masked to each state."""
+    n, adj = g.n, g.adj
+    b = b_state(g).mask
+    tally: dict[tuple[int, int], int] = {}
+    for s in range(1 << n):
+        key = ((s ^ b).bit_count(), gf2.corank([adj[v] & s for v in range(n) if s >> v & 1]))
+        tally[key] = tally.get(key, 0) + 1
+    return tally
 
-    States are tallied by (alpha, corank), with alpha(s) = popcount(s XOR
-    B-state), one block of 2**gf2.BLOCK_BITS masks at a time, so the only
-    array over all 2**n states is the uint8 corank vector.
-    """
+
+def _tally_vectorized(g: LabeledGraph, threads: int) -> dict[tuple[int, int], int]:
+    """Count of states by (alpha, corank) from ``gf2.subset_coranks``, one
+    block of 2**gf2.BLOCK_BITS masks at a time, so the only array over all
+    2**n states is the uint8 corank vector."""
+    import numpy as np
+
     n = g.n
     coranks = gf2.subset_coranks(g.adj, n, threads=threads)
     b = np.uint32(b_state(g).mask)
@@ -85,10 +102,19 @@ def _state_sum(g: LabeledGraph, threads: int) -> LaurentPoly:
         alphas = np.bitwise_count(masks ^ b).astype(np.intp)
         keys = alphas * width + coranks[start : start + step]
         counts += np.bincount(keys, minlength=width * width)
+    return {divmod(int(key), width): int(counts[key]) for key in np.flatnonzero(counts)}
+
+
+def _state_sum(g: LabeledGraph, threads: int) -> LaurentPoly:
+    """The bracket of g as one sweep over all 2**g.n states, with
+    alpha(s) = popcount(s XOR B-state)."""
+    n = g.n
+    if n <= _PYTHON_SWEEP_MAX_N:
+        tally = _tally_per_state(g)
+    else:
+        tally = _tally_vectorized(g, threads)
     total = LaurentPoly()
-    for key in np.flatnonzero(counts):
-        al, c = divmod(int(key), width)
-        weight = int(counts[key])
+    for (al, c), weight in tally.items():
         total = total + _loop_pow(c).scale(weight, 2 * al - n)
     return total
 

@@ -11,6 +11,8 @@ so it is identical for every vertex ordering of the same labeled graph.
 BFS over the move graph is bounded by vertex count, depth, and state
 count; non-reachability inside those bounds is never evidence of
 inequivalence, which is why the equivalence test returns a tri-state.
+Moves often rebuild a graph already generated, row for row, so the BFS
+canonicalizes each distinct raw ``(labels, adj)`` once.
 """
 
 from __future__ import annotations
@@ -187,12 +189,15 @@ def bfs_orbit(
     Applies the four moves in both directions, with the add-pair move
     restricted to neighbourhoods already present in the current graph.
     Deduplication is by canonical key; within each level newly found keys
-    are merged in byte order, so the visited set is reproducible.
+    are merged in byte order, so the visited set is reproducible.  A child
+    whose raw ``(labels, adj)`` was already generated in this BFS has a key
+    already found, so it is skipped without being canonicalized.
     """
     if max_vertices is None:
         max_vertices = g.n + 2
     start_key = canonical_form(g)
     nodes: dict[bytes, OrbitNode] = {start_key: OrbitNode(g, 0, ())}
+    seen = {(g.labels, g.adj)}
     frontier = [start_key]
     truncated = False
     for depth in range(1, max_depth + 1):
@@ -203,8 +208,10 @@ def bfs_orbit(
             parent = nodes[key]
             for site in moves.enumerate_sites(parent.graph, moves.BASIC_KINDS):
                 child = moves.apply(parent.graph, site)
-                if child.n > max_vertices:
+                raw = (child.labels, child.adj)
+                if child.n > max_vertices or raw in seen:
                     continue
+                seen.add(raw)
                 ckey = canonical_form(child)
                 if ckey in nodes or ckey in found:
                     continue

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import graphlink
-from graphlink.cli import main
+from graphlink.cli import build_parser, main
 
 from helpers import G7_TEXT
 
@@ -215,15 +215,19 @@ def test_missing_file(capsys):
     assert code == 2
 
 
-def test_entry_point_subprocess():
+def _child_env() -> dict:
     # the child must import the same graphlink, installed or not
     src = str(Path(graphlink.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "graphlink.cli", "bracket", "-i", "1;-;"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == "-a^3\n"
@@ -388,3 +392,72 @@ def test_matrix_dimension_refused_by_vertex_count(capsys, command):
     code, out, err = run_cli(capsys, command, "-i", text)
     assert_one_line_error(code, err, exit_code=3)
     assert "matrix dimension 70 exceeds DIM_LIMIT=64" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bracket", "-i", "-1;+;"], "argument -i/--inline: expected one argument"),
+        (["bracket", "--bogus"], "unrecognized arguments: --bogus"),
+        (["nosuch"], "invalid choice: 'nosuch'"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["value-looks-like-option", "unknown-option", "unknown-subcommand", "empty-argv"],
+)
+def test_argparse_usage_errors_are_one_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert_one_line_error(code, err)
+    assert err.startswith("glk: parse error: ") and message in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["bracket", "--help"], ["moves", "-h"]])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: glk") and err == ""
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys):
+    calls = [
+        ["bracket", "-i", G7_TEXT, "--json"],
+        ["bracket", "-i", G7_TEXT],
+        ["bracket", "-i", G7_TEXT, "--max-n", "5"],
+        ["bracket", "-i", G7_TEXT],
+        ["orbit", "-i", "2;+-;1-2", "--max-depth", "2", "--json"],
+        ["orbit", "-i", "2;+-;1-2", "--max-depth", "2"],
+        ["moves", "sites", "-i", "1;+;", "--json"],
+        ["moves", "sites", "-i", "1;+;"],
+    ]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert build_parser() is build_parser()
+    # each call twice, alternating options, through the one shared parser
+    assert [run_cli(capsys, *argv) for argv in calls + calls] == fresh + fresh
+    assert fresh[0][1] != fresh[1][1] and fresh[2][0] == 3 and fresh[3][0] == 0
+
+
+def test_numpy_is_imported_only_for_a_large_component():
+    k9 = "9;+++++++++;" + ",".join(f"{i}-{j}" for i in range(1, 10) for j in range(i + 1, 10))
+    code = (
+        "import sys\n"
+        "from graphlink import cli\n"
+        "cli.main(['bracket', '-i', '1;+;'])\n"
+        f"cli.main(['props', '-i', {G7_TEXT!r}, '--json'])\n"
+        "print('numpy' in sys.modules)\n"
+        f"cli.main(['bracket', '-i', {k9!r}])\n"  # one 9-vertex component
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    bracket, props, small, k9_bracket, large = proc.stdout.splitlines()
+    assert bracket == "-a^-3" and json.loads(props)["span"] == 28
+    assert (small, large) == ("False", "True") and "a^" in k9_bracket

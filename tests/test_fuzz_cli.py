@@ -3,7 +3,8 @@ line answers with a documented exit code (0/1/2/3), raises nothing, and
 reports a failure as one line on stderr.
 
 Runs are derandomized and bounded so the module takes a few seconds; the
-size options keep every state sum, orbit and scan small.
+size options keep every state sum, orbit and scan small, and the argv
+vocabulary holds only small inputs.
 """
 
 import contextlib
@@ -32,6 +33,16 @@ DIAGRAM_COMMANDS = [
     ["chord", "bracket", "--max-n", "10"],
     ["chord", "circles", "--state=1,2"],
     ["chord", "circles", "--state=x"],
+]
+
+# Subcommands, actions, options (some unknown) and small values; no -h,
+# which prints help and exits 0 through SystemExit by design.
+ARGV_TOKENS = [
+    "bracket", "jones", "writhe", "props", "moves", "orbit", "chord", "realize", "selftest",
+    "apply", "sites", "graph", "circles", "nosuch",
+    "-i", "--inline", "--json", "--max-n", "--max-depth", "--max-vertices", "--max-states",
+    "--budget", "--moves", "--state", "--seed", "--trials", "--bogus", "-x", "--",
+    "1;+;", "3;+-+;1-2,2-3", "-1;+;", "1 1;+", "R1_add +", "0", "1", "-1", "3", "x", "",
 ]
 
 BIG_INT_JSON = '{"n": ' + "9" * 5000 + ', "labels": [], "edges": []}'
@@ -144,3 +155,14 @@ def test_input_and_script_files(tmp_path_factory, command, contents):
         check(command + ["--inline=1;+;", "--moves=" + str(path)])
     else:
         check(command + [str(path)])
+
+
+@FUZZ
+@given(argv=st.lists(st.sampled_from(ARGV_TOKENS), max_size=8))
+@example(argv=[])
+@example(argv=["nosuch"])
+@example(argv=["bracket", "--bogus"])
+@example(argv=["bracket", "-i", "-1;+;"])
+@example(argv=["moves", "frob", "-i", "1;+;"])
+def test_argv(argv):
+    check(argv)

@@ -13,7 +13,6 @@ from graphlink import (
     opposite,
     parse,
     serialize,
-    state_distance,
     to_json,
 )
 from graphlink.errors import ParseError
@@ -61,9 +60,8 @@ def test_opposite_and_distance():
     g = random_graph(random.Random(1), 6)
     assert opposite(g, State(0)).members == tuple(range(6))
     s = State.of([1, 3])
-    assert state_distance(s, s) == 0
-    assert state_distance(s, State.of([3, 5])) == 2
-    assert state_distance(s, opposite(g, s)) == 6
+    assert opposite(g, s).mask ^ s.mask == (1 << 6) - 1
+    assert opposite(g, opposite(g, s)) == s
 
 
 def test_alpha_splits_n_between_opposite_states():

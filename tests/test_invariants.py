@@ -6,6 +6,7 @@ from graphlink import (
     LabeledGraph,
     analyze,
     gf2,
+    invariants,
     is_graph_knot,
     jones,
     kauffman_bracket,
@@ -42,10 +43,25 @@ def test_bracket_thread_count_is_unobservable(monkeypatch):
     rng = random.Random(32)
     g = random_graph(rng, 9)
     assert _reduced_components(g) == [g]  # nothing to strip: the sweep spans all 9
+    assert g.n > invariants._PYTHON_SWEEP_MAX_N  # so it takes the vectorized sweep
     base = kauffman_bracket(g)
     assert base == kauffman_bracket(g, threads=4)
     monkeypatch.setattr(gf2, "BLOCK_BITS", 4)  # 32 blocks in the sweep and the tally
     assert base == kauffman_bracket(g, threads=4)
+
+
+@pytest.mark.parametrize("threshold", [-1, 99])
+def test_per_state_and_vectorized_sweeps_agree(monkeypatch, threshold):
+    # -1 sends every component to gf2.subset_coranks, 99 every one to the
+    # per-state loop; the seeded components straddle the default of 8
+    monkeypatch.setattr(invariants, "_PYTHON_SWEEP_MAX_N", threshold)
+    rng = random.Random(47)
+    sizes = set()
+    for trial in range(24):
+        g = random_graph(rng, 1 + trial % 10, p=0.5)
+        sizes.update(part.n for part in _reduced_components(g))
+        assert as_dict(kauffman_bracket(g)) == bracket_reference(g)
+    assert min(sizes) <= 8 < max(sizes)
 
 
 def _union(g: LabeledGraph, h: LabeledGraph) -> LabeledGraph:

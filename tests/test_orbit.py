@@ -1,4 +1,7 @@
+import hashlib
 import random
+
+import pytest
 
 from graphlink import (
     LabeledGraph,
@@ -9,7 +12,7 @@ from graphlink import (
     is_graph_knot,
     kauffman_bracket,
 )
-from graphlink import invariants, orbit
+from graphlink import invariants, moves, orbit
 from graphlink.invariants import brackets_unit_equivalent
 from graphlink.laurent import span
 from graphlink.moves import MoveKind, MoveSite, apply
@@ -84,6 +87,58 @@ def test_bfs_orbit_dedupes_by_canonical_key():
         for j in range(i + 1, len(graphs)):
             if graphs[i].n == graphs[j].n and graphs[i].n <= 5:
                 assert not brute_force_isomorphic(graphs[i], graphs[j])
+
+
+def _grown_g7() -> LabeledGraph:
+    g = apply(g7(), MoveSite(MoveKind.R2_ADD, neighborhood=frozenset({0, 3})))
+    return apply(g, MoveSite(MoveKind.R1_ADD, label=-1))
+
+
+@pytest.mark.parametrize(
+    "start, max_vertices, max_depth, max_states, report, digest",
+    [
+        (g7, 9, 3, 10**6,
+         '{"visited": 15, "min_vertices": 7, "truncated": false, "witness_path": ""}',
+         "49950cb58f6eb11bed9f4bde890cffde"),
+        (_grown_g7, 10, 3, 60,
+         '{"visited": 60, "min_vertices": 7, "truncated": true, '
+         '"witness_path": "R2_remove 8 9\\nR1_remove 8"}',
+         "69028f12d34f1e140c455427ca3764c0"),
+    ],
+    ids=["g7", "grown-g7-truncated"],
+)
+def test_bfs_orbit_canonicalizes_each_raw_child_once(
+    monkeypatch, start, max_vertices, max_depth, max_states, report, digest
+):
+    children: list[LabeledGraph] = []
+    canonicalized: list[LabeledGraph] = []
+    real_apply, real_canonical_form = moves.apply, orbit.canonical_form
+
+    def spy_apply(g, site):
+        child = real_apply(g, site)
+        children.append(child)
+        return child
+
+    def spy_canonical_form(g):
+        canonicalized.append(g)
+        return real_canonical_form(g)
+
+    monkeypatch.setattr(moves, "apply", spy_apply)
+    monkeypatch.setattr(orbit, "canonical_form", spy_canonical_form)
+    g = start()
+    rep = bfs_orbit(g, max_vertices=max_vertices, max_depth=max_depth, max_states=max_states)
+
+    in_bound = [c for c in children if c.n <= max_vertices]
+    distinct = {(c.labels, c.adj) for c in in_bound} - {(g.labels, g.adj)}
+    assert len(canonicalized) == 1 + len(distinct) < 1 + len(in_bound)
+    # the visited set, depths, paths, truncation and witness are frozen
+    # from the BFS that canonicalized every child
+    assert rep.to_json() == report
+    h = hashlib.sha256()
+    for key in sorted(rep.nodes):
+        node = rep.nodes[key]
+        h.update(key + bytes([node.depth]) + moves.format_script(node.path).encode() + b"\0")
+    assert h.hexdigest()[:32] == digest
 
 
 def test_bfs_orbit_witness_path_replays():
