@@ -28,12 +28,10 @@ from .errors import (
 from .gf2 import corank, rank
 from .graph import (
     LabeledGraph,
-    State,
     a_state,
     alpha,
     b_state,
     circle_count,
-    opposite,
     parse,
     serialize,
     to_json,
@@ -72,7 +70,6 @@ __all__ = [
     "PropertyReport",
     "RealizabilityResult",
     "ResourceLimitError",
-    "State",
     "a_state",
     "alpha",
     "analyze",
@@ -94,7 +91,6 @@ __all__ = [
     "linked",
     "loop_factor_pow",
     "mono",
-    "opposite",
     "parse",
     "parse_diagram",
     "rank",

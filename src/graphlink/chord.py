@@ -186,8 +186,6 @@ def realizability_search(
         raise ResourceLimitError(
             f"realizability search over (2n-1)!! matchings refused for n={n} > {max_n}"
         )
-    if n == 0:
-        return RealizabilityResult(ChordDiagram((), ()), False, 1)
 
     target_degrees = sorted(g.degree(v) for v in range(n))
     plain = LabeledGraph(n, (1,) * n, g.adj)

@@ -135,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=text)
         _add_io(p)
-        p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
+        if name != "writhe":  # the only one of the four with no state sum
+            p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
 
     p = sub.add_parser("moves", help="apply or list Reidemeister graph-moves")
     p.add_argument("action", choices=("apply", "sites"))

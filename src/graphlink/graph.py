@@ -2,8 +2,10 @@
 
 A labeled graph is a simple graph (no loops, no multiple edges) whose
 vertices carry a sign +1 or -1.  Vertices are 0-based positional indices
-internally; both file formats are 1-based.  Graphs are immutable after
-construction and all queries are pure.
+internally; both file formats are 1-based.  Adjacency is one bit row per
+vertex, and a state (a vertex subset) is a plain int mask with bit v set
+when v is in it.  Graphs are immutable after construction and all queries
+are pure.
 """
 
 from __future__ import annotations
@@ -34,16 +36,20 @@ class LabeledGraph:
         for s in self.labels:
             if s not in (1, -1):
                 raise ValueError("labels must be +1 or -1")
-        width = (1 << self.n) - 1
         for i, row in enumerate(self.adj):
-            if row < 0 or row & ~width:
+            if row < 0 or row >> self.n:
                 raise ValueError("adjacency row out of range")
             if (row >> i) & 1:
                 raise ValueError(f"loop at vertex {i} is not allowed")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if ((self.adj[i] >> j) & 1) != ((self.adj[j] >> i) & 1):
+        # symmetric iff every set bit (i, j) has its mirror (j, i); walking
+        # the set bits costs O(n + edges), where testing every pair of the
+        # n vertices would be quadratic even in an edgeless graph
+        for i, row in enumerate(self.adj):
+            while row:
+                j = (row & -row).bit_length() - 1
+                if not (self.adj[j] >> i) & 1:
                     raise ValueError("adjacency must be symmetric")
+                row &= row - 1
 
     @classmethod
     def from_edges(
@@ -115,64 +121,33 @@ class LabeledGraph:
         return LabeledGraph(self.n, labels, tuple(rows))
 
 
-@dataclass(frozen=True)
-class State:
-    """A subset of the vertices of a graph, as a bitmask."""
-
-    mask: int
-
-    @classmethod
-    def of(cls, vertices: Iterable[int]) -> "State":
-        m = 0
-        for v in vertices:
-            m |= 1 << v
-        return cls(m)
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        out = []
-        m = self.mask
-        while m:
-            out.append((m & -m).bit_length() - 1)
-            m &= m - 1
-        return tuple(out)
-
-    def size(self) -> int:
-        return self.mask.bit_count()
+def check_state(g: LabeledGraph, s: int) -> None:
+    if s < 0 or s >> g.n:
+        raise ValueError(f"state {bin(s)} has vertices outside the graph")
 
 
-def check_state(g: LabeledGraph, s: State) -> None:
-    if s.mask < 0 or s.mask >> g.n:
-        raise ValueError(f"state {bin(s.mask)} has vertices outside the graph")
-
-
-def circle_count(g: LabeledGraph, s: State) -> int:
-    """Number of circles of a state: corank of the induced adjacency plus 1."""
+def circle_count(g: LabeledGraph, s: int) -> int:
+    """Number of circles of state s: corank of the induced adjacency plus 1."""
     check_state(g, s)
     gf2.check_dim(g.n)
-    return gf2.corank([g.adj[v] & s.mask for v in s.members]) + 1
+    return gf2.corank([g.adj[v] & s for v in range(g.n) if s >> v & 1]) + 1
 
 
-def alpha(g: LabeledGraph, s: State) -> int:
+def alpha(g: LabeledGraph, s: int) -> int:
     """Count of '-' vertices inside s plus '+' vertices outside s, i.e. the
     number of vertices in which s differs from the B-state."""
     check_state(g, s)
-    return (s.mask ^ b_state(g).mask).bit_count()
+    return (s ^ b_state(g)).bit_count()
 
 
-def a_state(g: LabeledGraph) -> State:
+def a_state(g: LabeledGraph) -> int:
     """The state holding exactly the '-' vertices."""
-    return State.of(v for v, sign in enumerate(g.labels) if sign == -1)
+    return sum(1 << v for v, sign in enumerate(g.labels) if sign == -1)
 
 
-def b_state(g: LabeledGraph) -> State:
+def b_state(g: LabeledGraph) -> int:
     """The state holding exactly the '+' vertices."""
-    return State.of(v for v, sign in enumerate(g.labels) if sign == 1)
-
-
-def opposite(g: LabeledGraph, s: State) -> State:
-    check_state(g, s)
-    return State(((1 << g.n) - 1) ^ s.mask)
+    return sum(1 << v for v, sign in enumerate(g.labels) if sign == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +185,7 @@ def parse_compact(text: str) -> LabeledGraph:
         if ch not in "+-":
             raise ParseError(f"line 1, label {off + 1}: invalid character {ch!r}")
     labels = tuple(1 if ch == "+" else -1 for ch in label_text)
-    edges: list[tuple[int, int]] = []
-    seen = set()
+    rows = [0] * n
     if edge_text:
         for off, token in enumerate(edge_text.split(",")):
             token = token.strip()
@@ -228,12 +202,12 @@ def parse_compact(text: str) -> LabeledGraph:
                 )
             if i == j:
                 raise ParseError(f"line 1, edge {off + 1}: loop {token!r} not allowed")
-            key = (min(i, j), max(i, j))
-            if key in seen:
+            i, j = i - 1, j - 1
+            if (rows[i] >> j) & 1:
                 raise ParseError(f"line 1, edge {off + 1}: duplicate edge {token!r}")
-            seen.add(key)
-            edges.append((key[0] - 1, key[1] - 1))
-    return LabeledGraph.from_edges(labels, edges)
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return LabeledGraph(n, labels, tuple(rows))
 
 
 def from_json(text: str) -> LabeledGraph:
@@ -264,8 +238,7 @@ def from_json(text: str) -> LabeledGraph:
         raise ParseError("field 'labels' must be n entries of +1/-1")
     if not isinstance(edges, list):
         raise ParseError("field 'edges' must be an array")
-    seen = set()
-    pairs = []
+    rows = [0] * n
     for off, e in enumerate(edges):
         if not (isinstance(e, list) and len(e) == 2):
             raise ParseError(f"edge {off + 1}: must be a 2-element array")
@@ -276,12 +249,12 @@ def from_json(text: str) -> LabeledGraph:
             raise ParseError(f"edge {off + 1}: vertex out of range")
         if i == j:
             raise ParseError(f"edge {off + 1}: loop not allowed")
-        key = (min(i, j), max(i, j))
-        if key in seen:
+        i, j = i - 1, j - 1
+        if (rows[i] >> j) & 1:
             raise ParseError(f"edge {off + 1}: duplicate edge")
-        seen.add(key)
-        pairs.append((key[0] - 1, key[1] - 1))
-    return LabeledGraph.from_edges(tuple(labels), pairs)
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return LabeledGraph(n, tuple(labels), tuple(rows))
 
 
 def serialize(g: LabeledGraph) -> str:

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from . import gf2
 from .errors import DomainError, ResourceLimitError
-from .graph import LabeledGraph, State, a_state, b_state, circle_count
+from .graph import LabeledGraph, a_state, b_state, circle_count
 from .laurent import LaurentPoly, loop_factor_pow, one, span, unit_normalize
 from .moves import R2_REMOVE, _delete_vertices, _precondition
 
@@ -74,13 +74,11 @@ def _reduced_components(g: LabeledGraph) -> list[LabeledGraph]:
 
 
 def _tally_per_state(g: LabeledGraph) -> dict[tuple[int, int], int]:
-    """Count of states by (alpha, corank), one ``gf2.corank`` of the rows
-    masked to each state."""
-    n, adj = g.n, g.adj
-    b = b_state(g).mask
+    """Count of states by (alpha, corank), one ``circle_count`` per state."""
+    b = b_state(g)
     tally: dict[tuple[int, int], int] = {}
-    for s in range(1 << n):
-        key = ((s ^ b).bit_count(), gf2.corank([adj[v] & s for v in range(n) if s >> v & 1]))
+    for s in range(1 << g.n):
+        key = ((s ^ b).bit_count(), circle_count(g, s) - 1)
         tally[key] = tally.get(key, 0) + 1
     return tally
 
@@ -93,7 +91,7 @@ def _tally_vectorized(g: LabeledGraph, threads: int) -> dict[tuple[int, int], in
 
     n = g.n
     coranks = gf2.subset_coranks(g.adj, n, threads=threads)
-    b = np.uint32(b_state(g).mask)
+    b = np.uint32(b_state(g))
     width = n + 1
     counts = np.zeros(width * width, dtype=np.int64)
     step = 1 << gf2.BLOCK_BITS
@@ -199,10 +197,10 @@ class PropertyReport:
         return asdict(self)
 
 
-def _locally_minimal(g: LabeledGraph, s: State, circles: int) -> bool:
+def _locally_minimal(g: LabeledGraph, s: int, circles: int) -> bool:
     # adequate at one state: no single-vertex flip gains a circle
     for v in range(g.n):
-        if circle_count(g, State(s.mask ^ (1 << v))) == circles + 1:
+        if circle_count(g, s ^ 1 << v) == circles + 1:
             return False
     return True
 

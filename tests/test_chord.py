@@ -185,8 +185,8 @@ def test_realizability_empty_graph():
 
 def test_two_linked_chords_circle_count_matches_graph_side():
     # the 2-chord diagram behind the K2 circle-count golden value
-    from graphlink import State, circle_count
+    from graphlink import circle_count
 
     d = diagram("1 2 1 2;++")
     g = intersection_graph(d)
-    assert circle_count(g, State.of([0, 1])) == surgery_circle_count(d, [1, 2]) == 1
+    assert circle_count(g, 0b11) == surgery_circle_count(d, [1, 2]) == 1

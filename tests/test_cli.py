@@ -345,6 +345,17 @@ def test_chord_bracket_above_hard_limit_refused_at_once(capsys):
     assert "STATE_SUM_LIMIT=28" in err and out == ""
 
 
+@pytest.mark.parametrize("command", ["bracket", "props"])
+def test_huge_edgeless_graph_refused_at_once(capsys, command):
+    text = "30000;" + "+" * 30000 + ";"  # 30 KB
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command, "-i", text)
+    # a graph check over all n(n-1)/2 vertex pairs would take ~20 s here
+    assert time.perf_counter() - start < 1.0
+    assert_one_line_error(code, err, exit_code=3)
+    assert out == ""
+
+
 def test_directory_input_exit_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "bracket", str(tmp_path))
     assert_one_line_error(code, err)
@@ -401,8 +412,15 @@ def test_matrix_dimension_refused_by_vertex_count(capsys, command):
         (["bracket", "--bogus"], "unrecognized arguments: --bogus"),
         (["nosuch"], "invalid choice: 'nosuch'"),
         ([], "the following arguments are required: command"),
+        (["writhe", "-i", "1;+;", "--max-n", "5"], "unrecognized arguments: --max-n"),
     ],
-    ids=["value-looks-like-option", "unknown-option", "unknown-subcommand", "empty-argv"],
+    ids=[
+        "value-looks-like-option",
+        "unknown-option",
+        "unknown-subcommand",
+        "empty-argv",
+        "writhe-has-no-max-n",
+    ],
 )
 def test_argparse_usage_errors_are_one_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

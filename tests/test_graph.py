@@ -3,14 +3,14 @@ import random
 
 import pytest
 
+import graphlink
 from graphlink import (
     LabeledGraph,
-    State,
     a_state,
     alpha,
     b_state,
     circle_count,
-    opposite,
+    graph,
     parse,
     serialize,
     to_json,
@@ -32,53 +32,45 @@ def test_parse_g7():
 
 def test_circle_count_examples():
     g = g7()
-    assert circle_count(g, State(0)) == 1
+    assert circle_count(g, 0) == 1
     k2 = LabeledGraph.from_edges("++", [(0, 1)])
-    assert circle_count(k2, State.of([0, 1])) == 1
+    assert circle_count(k2, 0b11) == 1
     assert circle_count(g, a_state(g)) == 5
     assert circle_count(g, b_state(g)) == 4
     with pytest.raises(ValueError, match="outside the graph"):
-        circle_count(g, State(1 << 7))
+        circle_count(g, 1 << 7)
+    with pytest.raises(ValueError, match="outside the graph"):
+        circle_count(g, -1)
 
 
 def test_alpha_examples():
     plus = LabeledGraph.from_edges("+")
-    assert alpha(plus, State(0)) == 1
-    assert alpha(plus, State.of([0])) == 0
+    assert alpha(plus, 0) == 1
+    assert alpha(plus, 0b1) == 0
     g = g7()
     assert alpha(g, a_state(g)) == 7
 
 
 def test_states_of_g7():
     g = g7()
-    assert a_state(g).members == (0, 2, 4, 6)
-    assert b_state(g).members == (1, 3, 5)
-    assert opposite(g, a_state(g)) == b_state(g)
-
-
-def test_opposite_and_distance():
-    g = random_graph(random.Random(1), 6)
-    assert opposite(g, State(0)).members == tuple(range(6))
-    s = State.of([1, 3])
-    assert opposite(g, s).mask ^ s.mask == (1 << 6) - 1
-    assert opposite(g, opposite(g, s)) == s
+    assert a_state(g) == 0b1010101
+    assert b_state(g) == 0b0101010
 
 
 def test_alpha_splits_n_between_opposite_states():
     rng = random.Random(2)
     for _ in range(200):
         g = random_graph(rng, rng.randint(0, 10))
-        mask = rng.getrandbits(g.n) if g.n else 0
-        s = State(mask)
-        assert alpha(g, s) + alpha(g, opposite(g, s)) == g.n
+        s = rng.getrandbits(g.n) if g.n else 0
+        assert alpha(g, s) + alpha(g, s ^ (1 << g.n) - 1) == g.n
 
 
 def test_circle_count_bounds():
     rng = random.Random(3)
     for _ in range(200):
         g = random_graph(rng, rng.randint(0, 10))
-        s = State(rng.getrandbits(g.n) if g.n else 0)
-        assert 1 <= circle_count(g, s) <= s.size() + 1
+        s = rng.getrandbits(g.n) if g.n else 0
+        assert 1 <= circle_count(g, s) <= s.bit_count() + 1
 
 
 def test_a_b_state_circles_bounded_1000_random_graphs():
@@ -154,11 +146,62 @@ def test_graph_validation():
         LabeledGraph(2, (1, 1), (2, 0))
 
 
+def dense_accepts(n, labels, adj):
+    """The constructor's conditions, checked entry by entry over the dense
+    n x n matrix."""
+    if len(labels) != n or len(adj) != n or any(s not in (1, -1) for s in labels):
+        return False
+    if any(row < 0 or row >= 1 << n for row in adj):
+        return False
+    entry = [[(adj[i] >> j) & 1 for j in range(n)] for i in range(n)]
+    return all(entry[i][i] == 0 for i in range(n)) and all(
+        entry[i][j] == entry[j][i] for i in range(n) for j in range(n)
+    )
+
+
+def test_constructor_accepts_exactly_what_a_dense_check_accepts():
+    rng = random.Random(8)
+    seen = {True: set(), False: set()}
+    for _ in range(2000):
+        n = rng.randint(1, 9)
+        adj = list(random_graph(rng, n, rng.choice([0.2, 0.5, 0.8])).adj)
+        labels = tuple(rng.choice((1, -1)) for _ in range(n))
+        kind = rng.choice(["symmetric", "flip", "loop", "high", "negative"])
+        v = rng.randrange(n)
+        if kind == "flip":
+            adj[v] ^= 1 << rng.randrange(n)
+        elif kind == "loop":
+            adj[v] |= 1 << v
+        elif kind == "high":
+            adj[v] |= 1 << rng.randint(n, n + 3)
+        elif kind == "negative":
+            adj[v] = ~adj[v]
+        want = dense_accepts(n, labels, adj)
+        try:
+            LabeledGraph(n, labels, tuple(adj))
+            got = True
+        except ValueError:
+            got = False
+        assert got == want, (n, labels, adj)
+        seen[want].add(kind)
+    assert seen[True] == {"symmetric"}
+    assert seen[False] == {"flip", "loop", "high", "negative"}
+
+
+def test_star_import_binds_all_and_no_state_type():
+    namespace: dict = {}
+    exec("from graphlink import *", namespace)
+    assert set(graphlink.__all__) <= namespace.keys()
+    for name in ("State", "opposite"):
+        assert name not in graphlink.__all__ and name not in namespace
+        assert not hasattr(graphlink, name) and not hasattr(graph, name)
+
+
 def test_degenerate_empty_graph_is_legal_everywhere():
     g = LabeledGraph.empty()
     assert serialize(g) == "0;;"
-    assert circle_count(g, State(0)) == 1
-    assert alpha(g, State(0)) == 0
+    assert circle_count(g, 0) == 1
+    assert alpha(g, 0) == 0
 
 
 def test_relabel_round_trip():
