@@ -1,5 +1,6 @@
 """Chord diagrams: interlacement graphs, the surgery circle-count oracle,
-an independent bracket, and brute-force realizability search.
+an independent bracket, and an exhaustive realizability scan that prunes
+subtrees by degree but counts every matching in them.
 
 A diagram is a cyclic word on 2n positions in which each chord id 1..n
 appears exactly twice, plus a sign per chord.  Surgery along a subset of
@@ -172,14 +173,25 @@ class RealizabilityResult:
 def realizability_search(
     g: LabeledGraph, budget: int | None = None, max_n: int = REALIZE_MAX_N
 ) -> RealizabilityResult:
-    """Exhaustively search chord diagrams whose intersection graph is
-    isomorphic to g (label-preserving).
+    """Search chord diagrams whose intersection graph is isomorphic to g
+    (label-preserving), in a fixed order over all (2n-1)!! matchings.
 
-    All perfect matchings of 2n circle positions are enumerated with the
-    chord at position 0 pinned as chord 1, so rotations are quotiented;
-    that leaves (2n-1)!! candidate diagrams.  Returns the first witness
-    found, or None with exhausted=True after a complete scan (or
-    exhausted=False if ``budget`` truncated it).
+    Positions 0..2n-1 are paired depth-first: the first free position p gets
+    the next chord id and is paired with each later free q in turn, so the
+    chord at position 0 is chord 1 and rotations are quotiented.  A placed
+    chord crosses exactly the earlier chords whose second endpoint lies
+    between its own endpoints (every earlier first endpoint is before p), and
+    its degree is final once the first free position passes its second
+    endpoint.  A subtree is pruned when some chord's degree exceeds g's
+    maximum degree, or when the closed chords of one degree outnumber g's
+    vertices of that degree: none of its leaves has g's degree sequence.
+    Each surviving leaf is compared with g by canonical key.
+
+    ``checked`` counts matchings in scan order, a pruned subtree of k
+    unplaced chords counting all its (2k-1)!! leaves, so it equals the
+    count of a scan that builds every matching.  Returns the first witness;
+    or None with exhausted=True after the whole scan, or exhausted=False
+    when the leaf that reaches ``budget`` is not a witness.
     """
     n = g.n
     if n > max_n:
@@ -187,73 +199,90 @@ def realizability_search(
             f"realizability search over (2n-1)!! matchings refused for n={n} > {max_n}"
         )
 
-    target_degrees = sorted(g.degree(v) for v in range(n))
-    plain = LabeledGraph(n, (1,) * n, g.adj)
-    target_key, target_perm = orbit.canonical_permutation(plain)
+    target_key, target_perm = orbit.canonical_permutation(LabeledGraph(n, (1,) * n, g.adj))
+    degrees = [g.degree(v) for v in range(n)]
+    want = [degrees.count(d) for d in range(n + 1)]  # vertices of g per degree
+    max_deg = max(degrees, default=0)
+    leaves = [1] * (n + 1)  # leaves[k] = (2k-1)!!, the matchings of k chords
+    for k in range(1, n + 1):
+        leaves[k] = leaves[k - 1] * (2 * k - 1)
 
     m = 2 * n
-    partner = [-1] * m
-    chord_of = [-1] * m
-    first_pos = [0] * (n + 1)
-    rows = [0] * (n + 1)  # interlacement rows, 1-based chord ids
+    chord_of = [0] * m  # chord id at each position, 0 while free
+    deg = [0] * (n + 1)  # crossings of each placed chord so far
+    closed = [0] * (n + 1)  # closed chords per degree
     checked = 0
     witness: ChordDiagram | None = None
     truncated = False
 
-    def attempt() -> ChordDiagram | None:
-        # full matching placed; cheap filters, then isomorphism
-        degs = sorted(rows[c].bit_count() for c in range(1, n + 1))
-        if degs != target_degrees:
-            return None
-        cand = LabeledGraph(n, (1,) * n, tuple(r >> 1 for r in rows[1:]))
+    def skip(count: int) -> bool:
+        # count leaves that hold no witness; True when the budget ends the scan
+        nonlocal checked, truncated
+        if budget is not None and checked + count >= budget:
+            checked = max(checked + 1, budget)  # the first leaf at or past the budget
+            truncated = True
+            return True
+        checked += count
+        return False
+
+    def leaf() -> bool:
+        # the degree multisets agree: n chords are closed, none beyond want
+        nonlocal checked, witness
+        cand = intersection_graph(ChordDiagram(tuple(chord_of), (1,) * n))
         key, perm = orbit.canonical_permutation(cand)
         if key != target_key:
-            return None
+            return skip(1)
+        checked += 1
         # perm maps canonical position -> vertex; compose to map cand -> g
         iso = [0] * n
         for pos in range(n):
             iso[perm[pos]] = target_perm[pos]
-        signs = tuple(g.labels[iso[c]] for c in range(n))
-        return ChordDiagram(tuple(chord_of), signs)
+        witness = ChordDiagram(tuple(chord_of), tuple(g.labels[iso[c]] for c in range(n)))
+        return True
 
     def place(pos: int, next_id: int) -> bool:
-        # returns True when the scan should stop (witness or budget)
-        nonlocal checked, witness, truncated
-        while pos < m and partner[pos] != -1:
+        # chords 1..next_id-1 are placed; close the chords whose second
+        # endpoint the first free position passes, then branch or stop
+        start = pos
+        while pos < m and chord_of[pos]:
+            d = deg[chord_of[pos]]
+            closed[d] += 1
             pos += 1
-        if pos == m:
-            checked += 1
-            found = attempt()
-            if found is not None:
-                witness = found
-                return True
-            if budget is not None and checked >= budget:
-                truncated = True
-                return True
-            return False
+            if closed[d] > want[d]:
+                stop = skip(leaves[n + 1 - next_id])
+                break
+        else:
+            stop = leaf() if pos == m else branch(pos, next_id)
+        for p in range(start, pos):
+            closed[deg[chord_of[p]]] -= 1
+        return stop
+
+    def branch(pos: int, next_id: int) -> bool:
+        # pair the first free position with each later free q in turn
+        each = leaves[n - next_id]  # leaves below one choice of q
+        left = 2 * (n - next_id) + 1  # choices of q not yet scanned
+        stop = False
         for q in range(pos + 1, m):
-            if partner[q] != -1:
-                continue
-            partner[pos], partner[q] = q, pos
-            chord_of[pos] = chord_of[q] = next_id
-            first_pos[next_id] = pos
-            added = []
-            for c in range(1, next_id):
-                p1, p2 = first_pos[c], partner[first_pos[c]]
-                a1, a2 = (p1, p2) if p1 < p2 else (p2, p1)
-                if (a1 < pos < a2 < q) or (pos < a1 < q < a2):
-                    rows[c] |= 1 << next_id
-                    rows[next_id] |= 1 << c
-                    added.append(c)
-            stop = place(pos + 1, next_id + 1)
-            for c in added:
-                rows[c] &= ~(1 << next_id)
-            rows[next_id] = 0
-            partner[pos] = partner[q] = -1
-            chord_of[pos] = chord_of[q] = -1
-            if stop:
-                return True
-        return False
+            c = chord_of[q]
+            if c:
+                # c ends here, so (pos, q') crosses it for every later q'
+                deg[c] += 1
+                deg[next_id] += 1
+                if deg[c] > max_deg or deg[next_id] > max_deg:
+                    stop = skip(left * each)
+                    break
+            else:
+                chord_of[pos] = chord_of[q] = next_id
+                stop = place(pos + 1, next_id + 1)
+                chord_of[pos] = chord_of[q] = 0
+                if stop:
+                    break
+                left -= 1
+        for p in range(pos + 1, q + 1):
+            if chord_of[p]:
+                deg[chord_of[p]] -= 1
+        deg[next_id] = 0
+        return stop
 
     place(0, 1)
     exhausted = witness is None and not truncated

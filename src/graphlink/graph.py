@@ -142,12 +142,13 @@ def alpha(g: LabeledGraph, s: int) -> int:
 
 def a_state(g: LabeledGraph) -> int:
     """The state holding exactly the '-' vertices."""
-    return sum(1 << v for v, sign in enumerate(g.labels) if sign == -1)
+    # one base-2 parse is linear in n; summing 1 << v would copy a growing int per vertex
+    return int("0" + "".join("1" if sign == -1 else "0" for sign in reversed(g.labels)), 2)
 
 
 def b_state(g: LabeledGraph) -> int:
     """The state holding exactly the '+' vertices."""
-    return sum(1 << v for v, sign in enumerate(g.labels) if sign == 1)
+    return a_state(g) ^ (1 << g.n) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from graphlink import LabeledGraph, parse
+from graphlink import ChordDiagram, LabeledGraph, RealizabilityResult, canonical_permutation, parse
 
 G7_TEXT = "7;-+-+-+-;1-2,2-3,3-4,4-5,5-6,1-6,2-7,4-7,6-7"
 
@@ -119,3 +119,73 @@ def shuffled(rng: random.Random, g: LabeledGraph) -> LabeledGraph:
     perm = list(range(g.n))
     rng.shuffle(perm)
     return g.relabel(perm)
+
+
+def realizability_reference(g: LabeledGraph, budget: int | None = None) -> RealizabilityResult:
+    """The leaf-by-leaf realizability scan: every one of the (2n-1)!!
+    matchings, in the library's order, is built in full and counted, then
+    filtered by sorted degrees and the canonical key.  The library's pruned
+    scan must return the same diagram, ``exhausted`` and ``checked``."""
+    n = g.n
+    target_degrees = sorted(g.degree(v) for v in range(n))
+    target_key, target_perm = canonical_permutation(LabeledGraph(n, (1,) * n, g.adj))
+    m = 2 * n
+    partner = [-1] * m
+    chord_of = [-1] * m
+    first_pos = [0] * (n + 1)
+    rows = [0] * (n + 1)  # interlacement rows, 1-based chord ids
+    checked = 0
+    witness = None
+    truncated = False
+
+    def attempt() -> ChordDiagram | None:
+        degs = sorted(rows[c].bit_count() for c in range(1, n + 1))
+        if degs != target_degrees:
+            return None
+        cand = LabeledGraph(n, (1,) * n, tuple(r >> 1 for r in rows[1:]))
+        key, perm = canonical_permutation(cand)
+        if key != target_key:
+            return None
+        iso = [0] * n
+        for pos in range(n):
+            iso[perm[pos]] = target_perm[pos]
+        return ChordDiagram(tuple(chord_of), tuple(g.labels[iso[c]] for c in range(n)))
+
+    def place(pos: int, next_id: int) -> bool:
+        nonlocal checked, witness, truncated
+        while pos < m and partner[pos] != -1:
+            pos += 1
+        if pos == m:
+            checked += 1
+            witness = attempt()
+            if witness is not None:
+                return True
+            if budget is not None and checked >= budget:
+                truncated = True
+                return True
+            return False
+        for q in range(pos + 1, m):
+            if partner[q] != -1:
+                continue
+            partner[pos], partner[q] = q, pos
+            chord_of[pos] = chord_of[q] = next_id
+            first_pos[next_id] = pos
+            added = []
+            for c in range(1, next_id):
+                p1, p2 = first_pos[c], partner[first_pos[c]]
+                if (p1 < pos < p2 < q) or (pos < p1 < q < p2):
+                    rows[c] |= 1 << next_id
+                    rows[next_id] |= 1 << c
+                    added.append(c)
+            stop = place(pos + 1, next_id + 1)
+            for c in added:
+                rows[c] &= ~(1 << next_id)
+            rows[next_id] = 0
+            partner[pos] = partner[q] = -1
+            chord_of[pos] = chord_of[q] = -1
+            if stop:
+                return True
+        return False
+
+    place(0, 1)
+    return RealizabilityResult(witness, witness is None and not truncated, checked)

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from graphlink import (
     ChordDiagram,
     LabeledGraph,
+    RealizabilityResult,
     bracket_via_surgery,
     corank,
     intersection_graph,
@@ -16,11 +18,12 @@ from graphlink import (
     serialize_diagram,
     surgery_circle_count,
 )
+from graphlink.cli import main
 from graphlink.errors import DomainError, ParseError, ResourceLimitError
 from graphlink.generate import random_chord_diagram
 from graphlink.laurent import LaurentPoly, mono, one
 
-from helpers import g7
+from helpers import g7, realizability_reference, shuffled
 
 
 def diagram(text):
@@ -170,6 +173,12 @@ def test_realizability_budget_truncation():
     assert res.diagram is None
     assert not res.exhausted
     assert res.checked == 100
+    # budget 0 still examines one matching, and a budget equal to the whole
+    # scan reports exhausted=false, as the leaf-by-leaf scan does
+    assert realizability_search(g7(), budget=0) == realizability_reference(g7(), 0)
+    assert realizability_search(g7(), budget=0).checked == 1
+    assert realizability_search(g7(), budget=135135) == RealizabilityResult(None, False, 135135)
+    assert realizability_search(g7(), budget=135136) == RealizabilityResult(None, True, 135135)
 
 
 def test_realizability_resource_limit():
@@ -190,3 +199,103 @@ def test_two_linked_chords_circle_count_matches_graph_side():
     d = diagram("1 2 1 2;++")
     g = intersection_graph(d)
     assert circle_count(g, 0b11) == surgery_circle_count(d, [1, 2]) == 1
+
+
+# Differential tests of the pruned realizability scan against the
+# leaf-by-leaf reference in helpers.py, through the library and the CLI.
+
+W5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 0), (5, 1), (5, 2), (5, 3), (5, 4)]
+
+
+def _local_complement(g, v):
+    rows = list(g.adj)
+    for u in range(g.n):
+        if g.adj[v] >> u & 1:
+            rows[u] ^= g.adj[v] & ~(1 << u)
+    return LabeledGraph(g.n, g.labels, tuple(rows))
+
+
+def _non_circle_graph(rng, n):
+    # W5 is a vertex-minor, so no diagram realizes it (Bouchet)
+    pairs = list(W5_EDGES) + [(u, v) for v in range(6, n) for u in range(v) if rng.random() < 0.5]
+    g = LabeledGraph.from_edges(tuple(rng.choice((1, -1)) for _ in range(n)), pairs)
+    for _ in range(rng.randrange(4)):
+        g = _local_complement(g, rng.randrange(n))
+    return shuffled(rng, g)
+
+
+def _small_graphs():
+    rng = random.Random(4601)
+    for n in range(6):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for bits in range(1 << len(pairs)):
+            labels = tuple(rng.choice((1, -1)) for _ in range(n))
+            yield LabeledGraph.from_edges(labels, [e for i, e in enumerate(pairs) if bits >> i & 1])
+
+
+def _non_circle_graphs():
+    rng = random.Random(4602)
+    return [_non_circle_graph(rng, 6) for _ in range(4)] + [_non_circle_graph(rng, 7)]
+
+
+def _chord_graphs():
+    # this seed's witnesses come 1090, 10520 and 12535 matchings into the scan
+    rng = random.Random(4605)
+    return [shuffled(rng, intersection_graph(random_chord_diagram(rng, n))) for n in (6, 7, 8)]
+
+
+def _budgets(g, total):
+    budgets = [0, 1, total - 1, total, total + 1]
+    if g.n >= 3 and all(g.adj):
+        # with no isolated vertex, chord 1 at positions (0, 1) closes with
+        # degree 0, so the first (2n-3)!! matchings are one pruned subtree
+        first_block = 1
+        for k in range(1, g.n):
+            first_block *= 2 * k - 1
+        budgets.append(first_block // 2 + 1)
+    return budgets
+
+
+def _check_against_reference(g, budget=None, capsys=None):
+    """The scan's result equals the reference's and, given ``capsys``, so do
+    the CLI's text and --json outputs.  Returns the reference result."""
+    ref = realizability_reference(g, budget)
+    got = realizability_search(g, budget)
+    assert (got.diagram, got.exhausted, got.checked) == (ref.diagram, ref.exhausted, ref.checked)
+    if capsys is None:
+        return ref
+    argv = ["realize", "-i", serialize(g)] + ([] if budget is None else ["--budget", str(budget)])
+    if budget is not None and budget < 1:
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"glk: parse error: --budget must be at least 1, got {budget}\n")
+        return ref
+    found = ref.diagram is not None
+    diagram = serialize_diagram(ref.diagram) if found else None
+    assert main(argv) == 0
+    text = diagram if found else f"none (exhausted={str(ref.exhausted).lower()}, checked={ref.checked})"
+    assert capsys.readouterr() == (text + "\n", "")
+    assert main(argv + ["--json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out) == {"found": found, "diagram": diagram, "exhausted": ref.exhausted, "checked": ref.checked}
+    return ref
+
+
+@pytest.mark.parametrize(
+    "family, cli_budgets",
+    [(_small_graphs, False), (_non_circle_graphs, True), (_chord_graphs, True)],
+    ids=["n<=5", "non-circle", "chord"],
+)
+def test_pruned_scan_equals_leaf_by_leaf_reference(capsys, family, cli_budgets):
+    # every full scan goes through the CLI too, and so do the budgeted scans
+    # of the larger graphs; for the 1100 graphs with n <= 5 that would add ~3 s
+    graphs = list(family())
+    inside = 0
+    for g in graphs:
+        total = _check_against_reference(g, capsys=capsys).checked
+        budgets = _budgets(g, total)
+        inside += len(budgets) > 5
+        for budget in budgets:
+            _check_against_reference(g, budget, capsys if cli_budgets else None)
+    assert inside >= len(graphs) // 4
+

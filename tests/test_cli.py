@@ -356,6 +356,16 @@ def test_huge_edgeless_graph_refused_at_once(capsys, command):
     assert out == ""
 
 
+def test_huge_edgeless_graph_props_refused_by_dim_limit_at_once(capsys):
+    text = "300000;" + "+" * 300000 + ";"  # 300 KB
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "props", "-i", text)
+    # building the A- and B-state masks as a sum of 1 << v took ~2 s here
+    assert time.perf_counter() - start < 0.8
+    assert_one_line_error(code, err, exit_code=3)
+    assert "matrix dimension 300000 exceeds DIM_LIMIT=64" in err and out == ""
+
+
 def test_directory_input_exit_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "bracket", str(tmp_path))
     assert_one_line_error(code, err)
