@@ -3,15 +3,16 @@
 Exit codes: 0 success, 1 domain error, 2 parse/usage error, 3 resource
 limit.  Every error is one line on stderr, argparse's own usage errors
 included; ``-h`` prints help and exits 0.  ``--json`` output is
-byte-stable for identical inputs and seeds.  ``GLK_THREADS`` caps the
-worker count used for state sums; it must be a positive integer.  Numeric
-limits are checked before any work: a negative
-``--max-n``/``--max-depth``/``--max-vertices``/``--trials`` or a
-``--budget``/``--max-states`` below 1 is a usage error (exit 2).  So is an
-input or ``--moves`` file that cannot be read or is not UTF-8, and JSON
-that nests too deeply or holds an integer too long to convert.  A state
-sum over more than ``gf2.STATE_SUM_LIMIT`` vertices is refused with exit 3
-whatever ``--max-n`` says.  The parser is built once per process.
+byte-stable for identical inputs and seeds.  Numeric limits are checked
+before any work: a negative ``--max-n``/``--max-depth``/``--max-vertices``/
+``--trials`` or a ``--budget``/``--max-states`` below 1 is a usage error
+(exit 2).  So is an input or ``--moves`` file that cannot be read or is not
+UTF-8, and JSON that nests too deeply or holds an integer too long to
+convert.  A state sum over more than ``gf2.STATE_SUM_LIMIT`` vertices is
+refused with exit 3 whatever ``--max-n`` says; ``props``, ``writhe``,
+``jones``, ``moves sites`` and ``orbit`` refuse a graph of more than
+``gf2.DIM_LIMIT`` vertices the same way.  The parser is built once per
+process.
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 
-from . import chord, graph, moves, orbit, selftest
+from . import chord, gf2, graph, moves, orbit, selftest
 from .errors import DomainError, ParseError, ResourceLimitError
 from .invariants import DEFAULT_MAX_N, analyze, jones, kauffman_bracket, writhe
 
@@ -42,17 +42,6 @@ _MINIMUM = {
     "max_states": 1,
     "trials": 0,
 }
-
-
-def _threads() -> int:
-    text = os.environ.get("GLK_THREADS", "1")
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ParseError(f"GLK_THREADS must be a positive integer, got {text!r}")
-    return value
 
 
 def _check_limits(args: argparse.Namespace) -> None:
@@ -170,15 +159,14 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
     _check_limits(args)
-    threads = _threads()
 
     if args.command == "bracket":
-        poly = kauffman_bracket(_load_graph(args), max_n=args.max_n, threads=threads)
+        poly = kauffman_bracket(_load_graph(args), max_n=args.max_n)
         print(json.dumps(poly.to_json_obj()) if args.json else poly.render())
         return EXIT_OK
 
     if args.command == "jones":
-        poly = jones(_load_graph(args), max_n=args.max_n, threads=threads)
+        poly = jones(_load_graph(args), max_n=args.max_n)
         print(json.dumps(poly.to_json_obj()) if args.json else poly.render())
         return EXIT_OK
 
@@ -188,7 +176,7 @@ def run(argv: list[str]) -> int:
         return EXIT_OK
 
     if args.command == "props":
-        report = analyze(_load_graph(args), max_n=args.max_n, threads=threads)
+        report = analyze(_load_graph(args), max_n=args.max_n)
         if args.json:
             print(json.dumps(report.to_json_obj()))
         else:
@@ -204,6 +192,7 @@ def run(argv: list[str]) -> int:
             result = moves.apply_script(g, _read_script(args.script))
             print(graph.to_json(result) if args.json else graph.serialize(result))
         else:
+            gf2.check_dim(g.n)  # the site list grows as n^3
             sites = moves.enumerate_sites(g)
             if args.json:
                 print(json.dumps([moves.format_site(s) for s in sites]))

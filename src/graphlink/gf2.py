@@ -14,11 +14,13 @@ function modifies its arguments, and all may be called concurrently
 without synchronization.
 
 Only ``subset_coranks`` needs numpy, and it imports numpy when first
-called, so a process that takes only per-state coranks never loads it.
+called, so a process that takes only per-state coranks never loads it.  It
+is the only code that may start a thread pool, and it sizes the pool itself.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -76,15 +78,17 @@ def check_state_sum(n: int) -> None:
         )
 
 
-def subset_coranks(rows: Sequence[int], n: int, threads: int = 1) -> np.ndarray:
+def subset_coranks(rows: Sequence[int], n: int) -> np.ndarray:
     """Coranks of all 2**n principal submatrices of a bit-packed matrix.
 
     Entry ``mask`` of the returned uint8 array is the corank of the
     submatrix induced by the bit set of ``mask``.  Every subset is
     eliminated from scratch (no incremental reuse across neighbouring
     subsets); subsets are merely processed in vectorized blocks of
-    2**BLOCK_BITS, and blocks may run on a small thread pool.  The result
-    is independent of ``threads``.
+    2**BLOCK_BITS.  The blocks are independent, so they are spread over one
+    worker per block, up to the number of CPUs this process may run on; a
+    single block or a single CPU runs inline, with no pool.  The result is
+    the same for any worker count.
 
     Raises ResourceLimitError for n > STATE_SUM_LIMIT before allocating.
     """
@@ -118,8 +122,14 @@ def subset_coranks(rows: Sequence[int], n: int, threads: int = 1) -> np.ndarray:
 
     block = 1 << min(BLOCK_BITS, n)
     spans = [(s, min(s + block, total)) for s in range(0, total, block)]
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = 1
+    if len(spans) > 1:
+        # numpy releases the GIL inside each array operation, so threads
+        # overlap; the affinity mask, where the OS has one, honours taskset
+        affinity = getattr(os, "sched_getaffinity", None)
+        workers = min(len(spans), len(affinity(0)) if affinity else os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda se: run_block(*se), spans))
     else:
         for s, e in spans:

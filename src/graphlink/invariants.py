@@ -9,11 +9,10 @@ move leaves the bracket unchanged), and the rest factors over connected
 components, because alpha and the corank both add up across a disjoint
 union.  A component of at most ``_PYTHON_SWEEP_MAX_N`` vertices is swept
 state by state in pure Python; a larger one by ``gf2.subset_coranks``,
-whose numpy blocks may be partitioned across threads.  Either way the
-states are tallied by (alpha, corank) and the merge is an exact
-commutative sum, so the result is bit-identical for any path or worker
-count.  Whether a sum is refused depends on the input's n, not on the
-reduced size.
+which sizes its own worker pool.  Either way the states are tallied by
+(alpha, corank) and the merge is an exact commutative sum, so the result
+is bit-identical for any path or worker count.  Whether a sum is refused
+depends on the input's n, not on the reduced size.
 """
 
 from __future__ import annotations
@@ -83,14 +82,14 @@ def _tally_per_state(g: LabeledGraph) -> dict[tuple[int, int], int]:
     return tally
 
 
-def _tally_vectorized(g: LabeledGraph, threads: int) -> dict[tuple[int, int], int]:
+def _tally_vectorized(g: LabeledGraph) -> dict[tuple[int, int], int]:
     """Count of states by (alpha, corank) from ``gf2.subset_coranks``, one
     block of 2**gf2.BLOCK_BITS masks at a time, so the only array over all
     2**n states is the uint8 corank vector."""
     import numpy as np
 
     n = g.n
-    coranks = gf2.subset_coranks(g.adj, n, threads=threads)
+    coranks = gf2.subset_coranks(g.adj, n)
     b = np.uint32(b_state(g))
     width = n + 1
     counts = np.zeros(width * width, dtype=np.int64)
@@ -103,23 +102,21 @@ def _tally_vectorized(g: LabeledGraph, threads: int) -> dict[tuple[int, int], in
     return {divmod(int(key), width): int(counts[key]) for key in np.flatnonzero(counts)}
 
 
-def _state_sum(g: LabeledGraph, threads: int) -> LaurentPoly:
+def _state_sum(g: LabeledGraph) -> LaurentPoly:
     """The bracket of g as one sweep over all 2**g.n states, with
     alpha(s) = popcount(s XOR B-state)."""
     n = g.n
     if n <= _PYTHON_SWEEP_MAX_N:
         tally = _tally_per_state(g)
     else:
-        tally = _tally_vectorized(g, threads)
+        tally = _tally_vectorized(g)
     total = LaurentPoly()
     for (al, c), weight in tally.items():
         total = total + _loop_pow(c).scale(weight, 2 * al - n)
     return total
 
 
-def kauffman_bracket(
-    g: LabeledGraph, max_n: int = DEFAULT_MAX_N, threads: int = 1
-) -> LaurentPoly:
+def kauffman_bracket(g: LabeledGraph, max_n: int = DEFAULT_MAX_N) -> LaurentPoly:
     """Exact Kauffman bracket of a labeled graph.
 
     The product of one state sum per reduced component (see
@@ -135,7 +132,7 @@ def kauffman_bracket(
     gf2.check_state_sum(n)
     total = one()
     for part in _reduced_components(g):
-        total = total * _state_sum(part, threads)
+        total = total * _state_sum(part)
     return total
 
 
@@ -167,10 +164,10 @@ def writhe(g: LabeledGraph) -> int:
     return total
 
 
-def jones(g: LabeledGraph, max_n: int = DEFAULT_MAX_N, threads: int = 1) -> LaurentPoly:
+def jones(g: LabeledGraph, max_n: int = DEFAULT_MAX_N) -> LaurentPoly:
     """Jones polynomial (-a)^(-3w) * <G> of a graph-knot."""
     w = writhe(g)
-    return unit_normalize(kauffman_bracket(g, max_n=max_n, threads=threads), w)
+    return unit_normalize(kauffman_bracket(g, max_n=max_n), w)
 
 
 @dataclass(frozen=True)
@@ -205,9 +202,7 @@ def _locally_minimal(g: LabeledGraph, s: int, circles: int) -> bool:
     return True
 
 
-def analyze(
-    g: LabeledGraph, max_n: int = DEFAULT_MAX_N, threads: int = 1
-) -> PropertyReport:
+def analyze(g: LabeledGraph, max_n: int = DEFAULT_MAX_N) -> PropertyReport:
     """Compute the full property report for one representative."""
     n = g.n
     sa = a_state(g)
@@ -220,7 +215,7 @@ def analyze(
     non_split = all(g.adj[v] != 0 for v in range(n))
     knot = is_graph_knot(g)
     if n <= max_n:
-        br = kauffman_bracket(g, max_n=max_n, threads=threads)
+        br = kauffman_bracket(g, max_n=max_n)
         sp = span(br) if not br.is_zero() else None
     else:
         sp = None

@@ -47,6 +47,10 @@ BASIC_KINDS = frozenset({R1_ADD, R1_REMOVE, R2_ADD, R2_REMOVE, R3_FWD, R3_INV, R
 
 ALL_KINDS = frozenset(MoveKind)
 
+#: How many vertices a site of each vertex-indexed kind names; the add moves
+#: name none.
+_ARITY = {R1_REMOVE: 1, R2_REMOVE: 2, R3_FWD: 3, R3_INV: 3, R4: 2, R5_EXPAND: 1, R5_CONTRACT: 3}
+
 
 @dataclass(frozen=True)
 class MoveSite:
@@ -171,9 +175,13 @@ def _rewire_r3(
 
 
 def apply(g: LabeledGraph, site: MoveSite) -> LabeledGraph:
-    """Apply one move site, checking its precondition first."""
+    """Apply one move site, checking its arity and precondition first."""
     kind = site.kind
-    reason = _precondition(g, kind, site.vertices, site.label, site.neighborhood)
+    arity = _ARITY.get(kind, 0)
+    if len(site.vertices) != arity:
+        reason = f"takes {arity} vertices, got {len(site.vertices)}"
+    else:
+        reason = _precondition(g, kind, site.vertices, site.label, site.neighborhood)
     if reason is not None:
         raise MoveError(f"{kind.value}: {reason}")
 
@@ -347,16 +355,7 @@ def parse_script(text: str) -> list[MoveSite]:
                     raise ValueError
                 sites.append(MoveSite(kind, neighborhood=members))
             else:
-                arity = {
-                    R1_REMOVE: 1,
-                    R2_REMOVE: 2,
-                    R3_FWD: 3,
-                    R3_INV: 3,
-                    R4: 2,
-                    R5_EXPAND: 1,
-                    R5_CONTRACT: 3,
-                }[kind]
-                if len(args) != arity:
+                if len(args) != _ARITY[kind]:
                     raise ValueError
                 vs = tuple(int(a) - 1 for a in args)
                 if any(v < 0 for v in vs):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from . import moves
+from . import gf2, moves
 from .errors import ResourceLimitError
 from .graph import LabeledGraph
 from .invariants import brackets_unit_equivalent, is_graph_knot, kauffman_bracket, writhe
@@ -193,6 +193,7 @@ def bfs_orbit(
     whose raw ``(labels, adj)`` was already generated in this BFS has a key
     already found, so it is skipped without being canonicalized.
     """
+    gf2.check_dim(g.n)  # a level lists O(n^3) sites, one canonical form each
     if max_vertices is None:
         max_vertices = g.n + 2
     start_key = canonical_form(g)

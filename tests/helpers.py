@@ -9,6 +9,7 @@ only ever frozen after these agree with the fast paths.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 
 from graphlink import ChordDiagram, LabeledGraph, RealizabilityResult, canonical_permutation, parse
@@ -107,6 +108,13 @@ def brute_force_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
     return False
 
 
+def force_cpus(monkeypatch, k: int) -> None:
+    """Make this process look as if it may run on k CPUs, whichever of the
+    two calls ``gf2.subset_coranks`` sizes its pool by."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: k)
+
+
 def random_graph(rng: random.Random, n: int, p: float = 0.4) -> LabeledGraph:
     labels = tuple(rng.choice((1, -1)) for _ in range(n))
     edges = [
@@ -189,3 +197,97 @@ def realizability_reference(g: LabeledGraph, budget: int | None = None) -> Reali
 
     place(0, 1)
     return RealizabilityResult(witness, witness is None and not truncated, checked)
+
+
+# ---------------------------------------------------------------------------
+# Classical links as braid closures.  A braid word lists generators +-i
+# (1-based): sigma_i^{+-1} crosses the strands at positions i and i+1, and
+# every strand runs upward, so the writhe is the exponent sum.  Crossing t
+# splits each position's strand into segments: segment (p, t) runs from
+# crossing t-1 up to crossing t, and the closure joins the top of the last
+# crossing to segment (p, 0).  Convention: the A-smoothing of a positive
+# crossing is the oriented (vertical) one, of a negative crossing the
+# horizontal one, so sigma_1^3 is the right-handed trefoil.
+
+
+def _braid_circles(word: list[int], strands: int, a_mask: int) -> list[list[int]]:
+    """The circles of the state that takes the A-smoothing at the crossings
+    in ``a_mask``; each circle lists the crossings its arcs pass, in order."""
+    c = len(word)
+
+    def end(p: int, t: int, top: int) -> int:
+        return 2 * ((t % c) * strands + p) + top
+
+    join: dict[int, tuple[int, int]] = {}  # endpoint -> (endpoint, crossing or -1)
+
+    def link(x: int, y: int, t: int) -> None:
+        join[x], join[y] = (y, t), (x, t)
+
+    for t, gen in enumerate(word):
+        l, r = abs(gen) - 1, abs(gen)
+        for p in range(strands):
+            if p not in (l, r):
+                link(end(p, t, 1), end(p, t + 1, 0), -1)
+        if ((a_mask >> t) & 1) == (gen > 0):  # vertical: both strands go on up
+            link(end(l, t, 1), end(l, t + 1, 0), t)
+            link(end(r, t, 1), end(r, t + 1, 0), t)
+        else:  # horizontal: a cap below the crossing and a cup above it
+            link(end(l, t, 1), end(r, t, 1), t)
+            link(end(l, t + 1, 0), end(r, t + 1, 0), t)
+    circles, seen = [], set()
+    for start in range(2 * c * strands):
+        if start in seen:
+            continue
+        circle, e = [], start
+        while e not in seen:
+            seen.update((e, e ^ 1))
+            e, t = join[e ^ 1]
+            if t >= 0:
+                circle.append(t)
+        circles.append(circle)
+    return circles
+
+
+def braid_bracket(word: list[int], strands: int) -> dict[int, int]:
+    """The closure's Kauffman bracket as its own sum over all 2^c states."""
+    c = len(word)
+    total: dict[int, int] = {}
+    for a_mask in range(1 << c):
+        loops = len(_braid_circles(word, strands, a_mask)) - 1
+        total = poly_add(total, poly_mul({2 * a_mask.bit_count() - c: 1}, loop_pow(loops)))
+    return total
+
+
+def braid_is_knot(word: list[int], strands: int) -> bool:
+    """Whether the closure has one component: the braid's permutation is a
+    single cycle."""
+    perm = list(range(strands))
+    for gen in word:
+        i = abs(gen)
+        perm[i - 1], perm[i] = perm[i], perm[i - 1]
+    p, length = perm[0], 1
+    while p != 0:
+        p, length = perm[p], length + 1
+    return length == strands
+
+
+def braid_diagram(word: list[int], strands: int) -> ChordDiagram:
+    """The chord diagram of a one-circle state of the closure.
+
+    Start from the all-A state and switch a crossing whose two arcs lie on
+    different circles, merging them, until one circle is left (a connected
+    diagram always gets there).  Chord t + 1 is crossing t, its ends are
+    where the circle passes the crossing's two arcs, and its sign is '+'
+    where the state takes the A-smoothing."""
+    a_mask = (1 << len(word)) - 1
+    while True:
+        circles = _braid_circles(word, strands, a_mask)
+        if len(circles) == 1:
+            break
+        home = {t: k for k, circle in enumerate(circles) for t in circle}
+        split = [t for k, circle in enumerate(circles) for t in circle if home[t] != k]
+        if not split:
+            raise ValueError("the closure is a split diagram")
+        a_mask ^= 1 << split[0]
+    signs = tuple(1 if (a_mask >> t) & 1 else -1 for t in range(len(word)))
+    return ChordDiagram(tuple(t + 1 for t in circles[0]), signs)

@@ -85,10 +85,15 @@ def test_json_output_is_byte_stable(capsys):
 
 
 def test_threads_env_does_not_change_output(capsys, monkeypatch):
-    _, base, _ = run_cli(capsys, "bracket", "-i", G7_TEXT)
-    monkeypatch.setenv("GLK_THREADS", "4")
-    _, threaded, _ = run_cli(capsys, "bracket", "-i", G7_TEXT)
-    assert base == threaded
+    # the state sum sizes its own pool; the old GLK_THREADS variable, valid or
+    # not, is not read
+    for argv in (["bracket", "-i", G7_TEXT], ["realize", "-i", "2;++;1-2"]):
+        monkeypatch.delenv("GLK_THREADS", raising=False)
+        base = run_cli(capsys, *argv)
+        assert base[0] == 0
+        for value in ("4", "0", "two"):
+            monkeypatch.setenv("GLK_THREADS", value)
+            assert run_cli(capsys, *argv) == base
 
 
 def test_moves_apply_inline_script(capsys):
@@ -296,14 +301,6 @@ def test_json_graph_type_errors_exit_2(capsys, obj):
     assert out == ""
 
 
-@pytest.mark.parametrize("value", ["0", "-2", "two", ""])
-def test_bad_glk_threads_exit_2(capsys, monkeypatch, value):
-    monkeypatch.setenv("GLK_THREADS", value)
-    code, out, err = run_cli(capsys, "bracket", "-i", "1;+;")
-    assert_one_line_error(code, err)
-    assert "GLK_THREADS" in err and out == ""
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -345,15 +342,25 @@ def test_chord_bracket_above_hard_limit_refused_at_once(capsys):
     assert "STATE_SUM_LIMIT=28" in err and out == ""
 
 
-@pytest.mark.parametrize("command", ["bracket", "props"])
+@pytest.mark.parametrize("command", ["bracket", "props", "moves sites", "orbit"])
 def test_huge_edgeless_graph_refused_at_once(capsys, command):
-    text = "30000;" + "+" * 30000 + ";"  # 30 KB
+    text = "30000;" + "+-" * 15000 + ";"  # 30 KB
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, command, "-i", text)
-    # a graph check over all n(n-1)/2 vertex pairs would take ~20 s here
+    code, out, err = run_cli(capsys, *command.split(), "-i", text)
+    # a graph check over all n(n-1)/2 vertex pairs would take ~20 s here, and
+    # the move sites of such a graph run to hundreds of millions of lines
     assert time.perf_counter() - start < 1.0
     assert_one_line_error(code, err, exit_code=3)
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [["moves", "sites"], ["orbit", "--max-depth", "0"]])
+def test_moves_sites_and_orbit_stop_at_dim_limit(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "-i", "64;" + "+-" * 32 + ";")
+    assert code == 0 and out
+    code, out, err = run_cli(capsys, *argv, "-i", "65;" + "+-" * 32 + "+;")
+    assert_one_line_error(code, err, exit_code=3)
+    assert "matrix dimension 65 exceeds DIM_LIMIT=64" in err and out == ""
 
 
 def test_huge_edgeless_graph_props_refused_by_dim_limit_at_once(capsys):

@@ -1,4 +1,5 @@
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from graphlink import LabeledGraph, gf2
 from graphlink.errors import ResourceLimitError
 from graphlink.invariants import _a_plus_e
 
-from helpers import dense_adjacency, dense_submatrix, g7, naive_rank, random_graph
+from helpers import dense_adjacency, dense_submatrix, force_cpus, g7, naive_rank, random_graph
 
 
 def rows_from_dense(dense):
@@ -135,9 +136,34 @@ def test_subset_coranks_thread_and_block_invariance(monkeypatch):
     rng = random.Random(106)
     g = random_graph(rng, 11)
     base = gf2.subset_coranks(g.adj, g.n)
-    assert np.array_equal(base, gf2.subset_coranks(g.adj, g.n, threads=3))
+    monkeypatch.setattr(gf2, "BLOCK_BITS", 4)  # 128 blocks
+    for cpus in (1, 4):
+        force_cpus(monkeypatch, cpus)
+        assert np.array_equal(base, gf2.subset_coranks(g.adj, g.n))
+
+
+@pytest.mark.parametrize("cpus", [1, 3, 4])
+def test_subset_coranks_pool_is_sized_by_blocks_and_cpus(monkeypatch, cpus):
+    pools = []
+
+    class Spy(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(gf2, "ThreadPoolExecutor", Spy)
     monkeypatch.setattr(gf2, "BLOCK_BITS", 4)
-    assert np.array_equal(base, gf2.subset_coranks(g.adj, g.n))
+    force_cpus(monkeypatch, cpus)
+    rng = random.Random(108)
+    for n, blocks in ((0, 1), (4, 1), (5, 2), (6, 4), (9, 32)):
+        g = random_graph(rng, n)
+        pools.clear()
+        coranks = gf2.subset_coranks(g.adj, n)
+        workers = min(blocks, cpus)
+        assert pools == ([workers] if workers > 1 else [])
+        assert [int(c) for c in coranks] == [
+            gf2.corank(masked_rows(g.adj, mask)) for mask in range(1 << n)
+        ]
 
 
 def test_dimension_cap():

@@ -17,7 +17,7 @@ from graphlink.invariants import _reduced_components, _state_sum, brackets_unit_
 from graphlink.laurent import LaurentPoly, mono, one, span
 from graphlink.moves import MoveKind, MoveSite, apply, enumerate_sites
 
-from helpers import as_dict, bracket_reference, g7, random_graph, shuffled
+from helpers import as_dict, bracket_reference, force_cpus, g7, random_graph, shuffled
 
 
 def test_unit_brackets():
@@ -45,9 +45,10 @@ def test_bracket_thread_count_is_unobservable(monkeypatch):
     assert _reduced_components(g) == [g]  # nothing to strip: the sweep spans all 9
     assert g.n > invariants._PYTHON_SWEEP_MAX_N  # so it takes the vectorized sweep
     base = kauffman_bracket(g)
-    assert base == kauffman_bracket(g, threads=4)
     monkeypatch.setattr(gf2, "BLOCK_BITS", 4)  # 32 blocks in the sweep and the tally
-    assert base == kauffman_bracket(g, threads=4)
+    for cpus in (1, 4):
+        force_cpus(monkeypatch, cpus)
+        assert base == kauffman_bracket(g)
 
 
 @pytest.mark.parametrize("threshold", [-1, 99])
@@ -129,7 +130,7 @@ def test_reduced_bracket_equals_whole_graph_sweep():
             _union(random_graph(rng, 5, 0.6), random_graph(rng, n - 5, 0.3)),
         ):
             assert [part.n for part in _reduced_components(g)] != [n]
-            assert kauffman_bracket(g) == _state_sum(g, threads=1)
+            assert kauffman_bracket(g) == _state_sum(g)
 
 
 def test_bracket_resource_limit():

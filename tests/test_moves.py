@@ -270,3 +270,15 @@ def test_site_vertex_validation():
         apply(g, MoveSite(MoveKind.R4, (0, 5)))
     with pytest.raises(MoveError, match="distinct"):
         apply(g, MoveSite(MoveKind.R4, (0, 0)))
+
+
+ARITY = {"R1_remove": 1, "R2_remove": 2, "R3_fwd": 3, "R3_inv": 3, "R4": 2, "R5_expand": 1, "R5_contract": 3}
+
+
+@pytest.mark.parametrize("kind", sorted(ARITY))
+def test_apply_refuses_wrong_arity(kind):
+    g = LabeledGraph.from_edges("+-+-+", [(0, 1), (1, 2), (2, 3), (3, 4)])
+    arity = ARITY[kind]
+    for k in (arity - 1, arity + 1):
+        with pytest.raises(MoveError, match=f"^{kind}: takes {arity} vertices, got {k}$"):
+            apply(g, MoveSite(MoveKind(kind), tuple(range(k))))
