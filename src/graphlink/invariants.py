@@ -7,12 +7,11 @@ the contribution of a state s is a^(2*alpha(s) - n) times the loop factor
 sum is taken per reduced component: R2 pairs are deleted first (the second
 move leaves the bracket unchanged), and the rest factors over connected
 components, because alpha and the corank both add up across a disjoint
-union.  A component of at most ``_PYTHON_SWEEP_MAX_N`` vertices is swept
-state by state in pure Python; a larger one by ``gf2.subset_coranks``,
-which sizes its own worker pool.  Either way the states are tallied by
-(alpha, corank) and the merge is an exact commutative sum, so the result
-is bit-identical for any path or worker count.  Whether a sum is refused
-depends on the input's n, not on the reduced size.
+union.  Every component, whatever its size, is tallied by (alpha, corank)
+in one ``gf2.subset_coranks`` pivot tree, and the merge is an exact
+commutative sum.  Whether a sum is refused depends on the input's n, not
+on the reduced size.  The writhe takes one GF(2) inverse instead of a
+corank per vertex.
 """
 
 from __future__ import annotations
@@ -28,11 +27,6 @@ from .moves import R2_REMOVE, _delete_vertices, _precondition
 
 #: Default cap on the state-sum size (2**n states).
 DEFAULT_MAX_N = 24
-
-#: Largest component swept in pure Python.  Past it the per-state loop
-#: costs more than the numpy sweep's fixed cost per call (the two are
-#: level at 9 vertices).
-_PYTHON_SWEEP_MAX_N = 8
 
 
 @lru_cache(maxsize=None)
@@ -72,46 +66,12 @@ def _reduced_components(g: LabeledGraph) -> list[LabeledGraph]:
     return parts
 
 
-def _tally_per_state(g: LabeledGraph) -> dict[tuple[int, int], int]:
-    """Count of states by (alpha, corank), one ``circle_count`` per state."""
-    b = b_state(g)
-    tally: dict[tuple[int, int], int] = {}
-    for s in range(1 << g.n):
-        key = ((s ^ b).bit_count(), circle_count(g, s) - 1)
-        tally[key] = tally.get(key, 0) + 1
-    return tally
-
-
-def _tally_vectorized(g: LabeledGraph) -> dict[tuple[int, int], int]:
-    """Count of states by (alpha, corank) from ``gf2.subset_coranks``, one
-    block of 2**gf2.BLOCK_BITS masks at a time, so the only array over all
-    2**n states is the uint8 corank vector."""
-    import numpy as np
-
-    n = g.n
-    coranks = gf2.subset_coranks(g.adj, n)
-    b = np.uint32(b_state(g))
-    width = n + 1
-    counts = np.zeros(width * width, dtype=np.int64)
-    step = 1 << gf2.BLOCK_BITS
-    for start in range(0, 1 << n, step):
-        masks = np.arange(start, min(start + step, 1 << n), dtype=np.uint32)
-        alphas = np.bitwise_count(masks ^ b).astype(np.intp)
-        keys = alphas * width + coranks[start : start + step]
-        counts += np.bincount(keys, minlength=width * width)
-    return {divmod(int(key), width): int(counts[key]) for key in np.flatnonzero(counts)}
-
-
 def _state_sum(g: LabeledGraph) -> LaurentPoly:
-    """The bracket of g as one sweep over all 2**g.n states, with
+    """The bracket of g as one sum over all 2**g.n states, with
     alpha(s) = popcount(s XOR B-state)."""
     n = g.n
-    if n <= _PYTHON_SWEEP_MAX_N:
-        tally = _tally_per_state(g)
-    else:
-        tally = _tally_vectorized(g)
     total = LaurentPoly()
-    for (al, c), weight in tally.items():
+    for (al, c), weight in gf2.subset_coranks(g.adj, n, b_state(g)).items():
         total = total + _loop_pow(c).scale(weight, 2 * al - n)
     return total
 
@@ -151,17 +111,16 @@ def is_graph_knot(g: LabeledGraph) -> bool:
 
 def writhe(g: LabeledGraph) -> int:
     """Writhe number: sum over vertices of (-1)^corank(B_i) * sign(v_i),
-    with B_i = A + E + E_ii.  Defined only for graph-knots."""
-    rows = _a_plus_e(g)
-    if gf2.corank(rows):
+    with B_i = A + E + E_ii.  Defined only for graph-knots.
+
+    For a graph-knot M = A + E is invertible, and B_i = M + E_ii is a
+    rank-one update of it with det(B_i) = 1 + (M^-1)_ii over GF(2).  So
+    corank(B_i) is 1 where the inverse's diagonal bit is 1, and 0 elsewhere.
+    """
+    inv = gf2.inverse(_a_plus_e(g))
+    if inv is None:
         raise DomainError("writhe is defined only for graph-knots (corank(A+E)=0)")
-    total = 0
-    for i in range(g.n):
-        rows[i] ^= 1 << i
-        c = gf2.corank(rows)
-        rows[i] ^= 1 << i
-        total += -g.labels[i] if c % 2 else g.labels[i]
-    return total
+    return sum(-s if inv[i] >> i & 1 else s for i, s in enumerate(g.labels))
 
 
 def jones(g: LabeledGraph, max_n: int = DEFAULT_MAX_N) -> LaurentPoly:

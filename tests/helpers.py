@@ -2,17 +2,27 @@
 
 The oracles here deliberately avoid the library's own kernels: rank is
 textbook elimination on dense 2D lists, and the reference bracket is a
-per-state loop over plain exponent->coefficient dicts.  Golden values are
-only ever frozen after these agree with the fast paths.
+per-state loop over plain exponent->coefficient dicts.  The per-state and
+per-flip references (``tally_reference``, ``writhe_reference``) take one
+``gf2.corank`` per matrix, the path that is itself checked against the
+dense rank, in place of the all-subsets kernel and the inverse.  Golden
+values are only ever frozen after these agree with the fast paths.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
+from typing import Sequence
 
-from graphlink import ChordDiagram, LabeledGraph, RealizabilityResult, canonical_permutation, parse
+from graphlink import (
+    ChordDiagram,
+    LabeledGraph,
+    RealizabilityResult,
+    canonical_permutation,
+    corank,
+    parse,
+)
 
 G7_TEXT = "7;-+-+-+-;1-2,2-3,3-4,4-5,5-6,1-6,2-7,4-7,6-7"
 
@@ -108,11 +118,31 @@ def brute_force_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
     return False
 
 
-def force_cpus(monkeypatch, k: int) -> None:
-    """Make this process look as if it may run on k CPUs, whichever of the
-    two calls ``gf2.subset_coranks`` sizes its pool by."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: k)
+def tally_reference(rows: Sequence[int], n: int, flip: int) -> dict[tuple[int, int], int]:
+    """Count of the subsets s by (popcount(s ^ flip), corank), one corank
+    of masked rows per subset: the per-state loop (for a graph, its
+    ``circle_count`` minus 1) that ``gf2.subset_coranks`` must agree with."""
+    tally: dict[tuple[int, int], int] = {}
+    for s in range(1 << n):
+        key = ((s ^ flip).bit_count(), corank([rows[v] & s for v in range(n) if s >> v & 1]))
+        tally[key] = tally.get(key, 0) + 1
+    return tally
+
+
+def writhe_reference(g: LabeledGraph) -> int | None:
+    """The writhe from n + 1 coranks: corank(A + E) must be 0, and vertex i
+    counts -sign(v_i) where corank(A + E + E_ii) is odd.  None for a graph
+    that is not a graph-knot."""
+    rows = [r | 1 << i for i, r in enumerate(g.adj)]
+    if corank(rows):
+        return None
+    total = 0
+    for i in range(g.n):
+        rows[i] ^= 1 << i
+        c = corank(rows)
+        rows[i] ^= 1 << i
+        total += -g.labels[i] if c % 2 else g.labels[i]
+    return total
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.4) -> LabeledGraph:

@@ -85,8 +85,8 @@ def test_json_output_is_byte_stable(capsys):
 
 
 def test_threads_env_does_not_change_output(capsys, monkeypatch):
-    # the state sum sizes its own pool; the old GLK_THREADS variable, valid or
-    # not, is not read
+    # there is no worker-count setting: the old GLK_THREADS variable, valid
+    # or not, is not read
     for argv in (["bracket", "-i", G7_TEXT], ["realize", "-i", "2;++;1-2"]):
         monkeypatch.delenv("GLK_THREADS", raising=False)
         base = run_cli(capsys, *argv)
@@ -475,16 +475,46 @@ def test_cached_parser_keeps_no_state_between_calls(capsys):
     assert fresh[0][1] != fresh[1][1] and fresh[2][0] == 3 and fresh[3][0] == 0
 
 
-def test_numpy_is_imported_only_for_a_large_component():
+N19_TEXT = (
+    "19;-++++++-+--++---+++;1-2,1-7,1-8,1-15,1-19,2-5,2-15,2-16,2-17,2-19,3-6,3-9,"
+    "3-10,3-12,3-16,4-7,4-15,5-8,5-11,5-12,5-16,5-17,5-19,6-7,6-8,6-9,6-11,6-16,6-17,"
+    "6-18,6-19,7-8,7-9,7-11,8-9,8-11,8-13,8-17,9-11,9-15,9-18,9-19,10-12,10-14,10-15,"
+    "10-18,11-12,11-15,11-18,12-14,13-15,13-18,14-16,14-18,14-19,15-19,18-19"
+)
+
+# captured from the numpy sweep that these state sums used to take
+NO_NUMPY_GOLDEN = """\
+-8a^9 - 57a^5 - 84a - 78a^-3 - 28a^-7 - a^-11
+exit 0
+{"n": 9, "k": 1, "l": 2, "genus": 4, "alternating": false, "adequate": false, \
+"non_split": true, "graph_knot": false, "span": 20, "vertex_lower_bound": 5, "minimal_certified": false}
+exit 0
+exit 1
+-4a^17 + 189a^13 + 171a^9 - 169a^5 - 356a - 192a^-3 + 176a^-7 + 167a^-11 + 20a^-15 - 3a^-19
+exit 0
+{"n": 19, "k": 2, "l": 3, "genus": 8, "alternating": false, "adequate": false, \
+"non_split": true, "graph_knot": true, "span": 36, "vertex_lower_bound": 9, "minimal_certified": false}
+exit 0
+4a^8 - 189a^4 - 171 + 169a^-4 + 356a^-8 + 192a^-12 - 176a^-16 - 167a^-20 - 20a^-24 + 3a^-28
+exit 0
+"""
+
+
+def test_glk_runs_without_numpy():
+    # with numpy set to None in sys.modules, any import of it raises; K9 and
+    # a connected 19-vertex graph with no R2 pair are one state sum each
     k9 = "9;+++++++++;" + ",".join(f"{i}-{j}" for i in range(1, 10) for j in range(i + 1, 10))
+    argvs = [
+        [cmd, "-i", text, *(["--json"] if cmd == "props" else [])]
+        for text in (k9, N19_TEXT)
+        for cmd in ("bracket", "props", "jones")
+    ]
     code = (
         "import sys\n"
+        "sys.modules['numpy'] = None\n"
         "from graphlink import cli\n"
-        "cli.main(['bracket', '-i', '1;+;'])\n"
-        f"cli.main(['props', '-i', {G7_TEXT!r}, '--json'])\n"
-        "print('numpy' in sys.modules)\n"
-        f"cli.main(['bracket', '-i', {k9!r}])\n"  # one 9-vertex component
-        "print('numpy' in sys.modules)\n"
+        f"for argv in {argvs!r}:\n"
+        "    print('exit', cli.main(argv))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -492,7 +522,6 @@ def test_numpy_is_imported_only_for_a_large_component():
         text=True,
         env=_child_env(),
     )
-    assert proc.returncode == 0 and proc.stderr == ""
-    bracket, props, small, k9_bracket, large = proc.stdout.splitlines()
-    assert bracket == "-a^-3" and json.loads(props)["span"] == 28
-    assert (small, large) == ("False", "True") and "a^" in k9_bracket
+    assert proc.returncode == 0
+    assert proc.stdout == NO_NUMPY_GOLDEN
+    assert proc.stderr == "glk: domain error: writhe is defined only for graph-knots (corank(A+E)=0)\n"

@@ -6,7 +6,6 @@ from graphlink import (
     LabeledGraph,
     analyze,
     gf2,
-    invariants,
     is_graph_knot,
     jones,
     kauffman_bracket,
@@ -17,7 +16,7 @@ from graphlink.invariants import _reduced_components, _state_sum, brackets_unit_
 from graphlink.laurent import LaurentPoly, mono, one, span
 from graphlink.moves import MoveKind, MoveSite, apply, enumerate_sites
 
-from helpers import as_dict, bracket_reference, force_cpus, g7, random_graph, shuffled
+from helpers import as_dict, bracket_reference, g7, random_graph, shuffled, writhe_reference
 
 
 def test_unit_brackets():
@@ -39,30 +38,14 @@ def test_bracket_matches_reference_oracle():
         assert as_dict(kauffman_bracket(g)) == bracket_reference(g)
 
 
-def test_bracket_thread_count_is_unobservable(monkeypatch):
+def test_whole_graph_brackets_n12_to_16_match_reference():
+    # connected graphs with no R2 pair: each is one state sum over all 2^n
     rng = random.Random(32)
-    g = random_graph(rng, 9)
-    assert _reduced_components(g) == [g]  # nothing to strip: the sweep spans all 9
-    assert g.n > invariants._PYTHON_SWEEP_MAX_N  # so it takes the vectorized sweep
-    base = kauffman_bracket(g)
-    monkeypatch.setattr(gf2, "BLOCK_BITS", 4)  # 32 blocks in the sweep and the tally
-    for cpus in (1, 4):
-        force_cpus(monkeypatch, cpus)
-        assert base == kauffman_bracket(g)
-
-
-@pytest.mark.parametrize("threshold", [-1, 99])
-def test_per_state_and_vectorized_sweeps_agree(monkeypatch, threshold):
-    # -1 sends every component to gf2.subset_coranks, 99 every one to the
-    # per-state loop; the seeded components straddle the default of 8
-    monkeypatch.setattr(invariants, "_PYTHON_SWEEP_MAX_N", threshold)
-    rng = random.Random(47)
-    sizes = set()
-    for trial in range(24):
-        g = random_graph(rng, 1 + trial % 10, p=0.5)
-        sizes.update(part.n for part in _reduced_components(g))
-        assert as_dict(kauffman_bracket(g)) == bracket_reference(g)
-    assert min(sizes) <= 8 < max(sizes)
+    for n in range(12, 17):
+        g = random_graph(rng, n, 0.5)
+        while _reduced_components(g) != [g]:
+            g = random_graph(rng, n, 0.5)
+        assert as_dict(kauffman_bracket(g)) == bracket_reference(g), g
 
 
 def _union(g: LabeledGraph, h: LabeledGraph) -> LabeledGraph:
@@ -185,6 +168,31 @@ def test_writhe_domain_error():
         writhe(LabeledGraph.from_edges("++", [(0, 1)]))
     with pytest.raises(DomainError):
         jones(g7())
+
+
+def test_writhe_matches_per_flip_reference():
+    # one inverse against n + 1 coranks, on 1500 seeded graph-knots
+    rng = random.Random(33)
+    knots = 0
+    while knots < 1500:
+        g = random_graph(rng, rng.randint(0, 14), rng.random())
+        want = writhe_reference(g)
+        if want is None:
+            assert not is_graph_knot(g)
+            with pytest.raises(DomainError, match="only for graph-knots"):
+                writhe(g)
+            continue
+        assert writhe(g) == want, g
+        knots += 1
+
+
+def test_writhe_dimension_limit():
+    # A + E of an edgeless graph is the identity, so every vertex counts -sign
+    n = gf2.DIM_LIMIT
+    g = LabeledGraph.from_edges("+-" * (n // 2))
+    assert writhe(g) == 0 and writhe(LabeledGraph.from_edges("+" * n)) == -n
+    with pytest.raises(ResourceLimitError, match=f"dimension {n + 1} "):
+        writhe(LabeledGraph.from_edges("+" * (n + 1)))
 
 
 def test_jones_examples():
